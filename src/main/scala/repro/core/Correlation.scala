@@ -20,8 +20,7 @@ object Correlation {
 
   /** Full Pearson matrix of the named columns of a local matrix (Eq. 7). */
   def matrixLocal(m: LocalMatrix, names: Seq[String]): Array[Array[Double]] = {
-    val pos = m.names.zipWithIndex.toMap
-    val cols = names.map(n => m.column(pos(n))).toArray
+    val cols = names.map(m.column).toArray
     fromSums(sums(cols, m.rows), names.length, m.rows)
   }
 

@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.functions.col
 import repro.ml.LocalMatrix
 import repro.core.Operators.{BinaryOp, Op, UnaryOp}
 
@@ -16,9 +15,16 @@ final case class GenFeature(op: Op, inputs: Seq[String]) {
 
   def name: String = s"${op.name}__${inputs.mkString("__")}"
 
-  def column(df: DataFrame): Column = op match {
-    case u: UnaryOp  => u.column(df(inputs.head))
-    case b: BinaryOp => b.column(df(inputs.head), df(inputs(1)))
+  /** Catalyst expression; `input` resolves an input name to its column. */
+  def column(input: String => Column): Column = op match {
+    case u: UnaryOp  => u.column(input(inputs.head))
+    case b: BinaryOp => b.column(input(inputs.head), input(inputs(1)))
+  }
+
+  /** Evaluation on driver arrays; `input` resolves an input name to its column. */
+  def local(input: String => Array[Double]): Array[Double] = op match {
+    case u: UnaryOp  => u.local(input(inputs.head))
+    case b: BinaryOp => b.local(input(inputs.head), input(inputs(1)))
   }
 
   /** SQL expression over a table already containing `inputs` — consumed by
@@ -30,15 +36,6 @@ final case class GenFeature(op: Op, inputs: Seq[String]) {
   }
 
   def describe: String = s"$name = $sql"
-
-  /** Evaluate against a matrix that already contains all `inputs`. */
-  def applyLocal(m: LocalMatrix): Array[Double] = {
-    val pos = m.names.zipWithIndex.toMap
-    op match {
-      case u: UnaryOp  => u.local(m.column(pos(inputs.head)))
-      case b: BinaryOp => b.local(m.column(pos(inputs.head)), m.column(pos(inputs(1))))
-    }
-  }
 }
 
 /** Ψ — the feature generation function produced by SAFE (Eq. 1) and the
@@ -63,7 +60,7 @@ final case class FeaturePlan(generated: Seq[GenFeature], keep: Seq[String]) {
   /** Derived features that are actually needed to produce `keep` — the kept
     * generated features plus their transitive generated inputs, in order.
     */
-  def neededGenerated: Seq[GenFeature] = {
+  lazy val neededGenerated: Seq[GenFeature] = {
     val byName = generated.map(g => g.name -> g).toMap
     val needed = scala.collection.mutable.Set.empty[String]
     def mark(n: String): Unit = byName.get(n).foreach { g =>
@@ -74,24 +71,35 @@ final case class FeaturePlan(generated: Seq[GenFeature], keep: Seq[String]) {
   }
 
   /** Apply Ψ to a DataFrame of original feature columns (a label column, if
-    * named and present, is passed through). Pure Catalyst — works on a
-    * 1-row frame for real-time inference.
+    * named and present, is passed through). Pure Catalyst, one `select` in
+    * which chained features nest — works on a 1-row frame for real-time
+    * inference.
     */
   def transform(df: DataFrame, labelCol: Option[String] = Some("label")): DataFrame = {
-    val withGen = neededGenerated.foldLeft(df)((d, g) => d.withColumn(g.name, g.column(d)))
-    val cols = keep ++ labelCol.filter(df.columns.contains)
-    withGen.select(cols.map(col): _*)
+    val cols = evaluate(df.columns.toSeq.map(n => n -> df(n)))(_.column(_))
+    df.select(keep.map(n => cols(n).as(n)) ++ labelCol.filter(df.columns.contains).map(df(_)): _*)
   }
 
-  /** Apply Ψ to a local matrix of original features. */
+  /** Apply Ψ to a local matrix of original features. Kept original columns
+    * are shared with `m`, not copied.
+    */
   def applyLocal(m: LocalMatrix): LocalMatrix = {
-    val full = neededGenerated.foldLeft(m) { (cur, g) =>
-      cur.withColumns(Array(g.name), {
-        val c = g.applyLocal(cur)
-        Array.tabulate(cur.rows)(i => Array(c(i)))
-      })
+    val cols = evaluate(m.names.indices.map(j => m.names(j) -> m.column(j)))(_.local(_))
+    new LocalMatrix(keep.toArray, keep.map(cols).toArray, m.y)
+  }
+
+  /** One pass over `neededGenerated` in dependency order into a name →
+    * column map that starts from `inputs`; a generated name must not repeat
+    * or collide with an input.
+    */
+  private def evaluate[A](inputs: Seq[(String, A)])
+                         (eval: (GenFeature, String => A) => A): scala.collection.Map[String, A] = {
+    val cols = scala.collection.mutable.HashMap.from(inputs)
+    neededGenerated.foreach { g =>
+      require(!cols.contains(g.name), s"duplicate columns: ${g.name}")
+      cols(g.name) = eval(g, cols)
     }
-    full.selectNames(keep)
+    cols
   }
 
   /** Human-readable description of the output feature set. */

@@ -52,8 +52,7 @@ object InfoValue {
 
   /** IV for every listed column of a local matrix. */
   def ivAllLocal(m: LocalMatrix, names: Seq[String], beta: Int = DefaultBins): Map[String, Double] = {
-    val pos = m.names.zipWithIndex.toMap
-    names.map(n => n -> iv(m.column(pos(n)), m.y, beta)).toMap
+    names.map(n => n -> iv(m.column(n), m.y, beta)).toMap
   }
 
   /** Distributed IV: equal-frequency edges from approxQuantile, then one

@@ -55,13 +55,12 @@ object PathMining {
     * (C4.5's gain-over-split-info), 0 when the partition is degenerate.
     */
   def gainRatio(m: LocalMatrix, combo: Combo): Double = {
-    val pos = m.names.zipWithIndex.toMap
-    val feats = combo.features.map(pos(_)).toArray
+    val featCols = combo.features.map(m.column).toArray
     val edges = combo.features.map(f => combo.splitValues.getOrElse(f, Array.empty[Double])).toArray
-    val strides = new Array[Int](feats.length)
+    val strides = new Array[Int](featCols.length)
     var stride = 1
     var q = 0
-    while (q < feats.length) { strides(q) = stride; stride *= edges(q).length + 1; q += 1 }
+    while (q < featCols.length) { strides(q) = stride; stride *= edges(q).length + 1; q += 1 }
     val nCells = stride
     if (nCells <= 1) return 0.0
     val posC = new Array[Double](nCells)
@@ -70,8 +69,8 @@ object PathMining {
     while (i < m.rows) {
       var cell = 0
       var qq = 0
-      while (qq < feats.length) {
-        cell += strides(qq) * Binning.binOf(m.x(i)(feats(qq)), edges(qq))
+      while (qq < featCols.length) {
+        cell += strides(qq) * Binning.binOf(featCols(qq)(i), edges(qq))
         qq += 1
       }
       if (m.y(i) > 0.5) posC(cell) += 1 else negC(cell) += 1

@@ -43,9 +43,11 @@ final case class SafeResult(plan: FeaturePlan, reports: Seq[IterationReport]) {
 }
 
 /** The SAFE pipeline (Algorithm 1), written once over a statistics engine:
-  * `LocalEngine` keeps rows on the driver (benchmark-grid fast path),
-  * `SparkEngine` keeps them distributed (business-scale path). Both produce
-  * the same FeaturePlan given the same data and seed.
+  * `LocalEngine` keeps a column-major `LocalMatrix` on the driver
+  * (benchmark-grid fast path), `SparkEngine` keeps rows distributed
+  * (business-scale path). Both are lazy: added features are recorded and
+  * evaluated only where a statistic reads them. Both produce the same
+  * FeaturePlan given the same data and seed.
   */
 object Safe {
 
@@ -61,21 +63,24 @@ object Safe {
     def corrMatrix(names: Seq[String]): Array[Array[Double]]
   }
 
+  /** Driver-side engine. Like `SparkEngine`'s projection it is lazy:
+    * `addGenerated` only records the features, and every statistic
+    * evaluates the generated columns it reads from the original matrix,
+    * through Ψ's one-pass evaluator (`FeaturePlan.applyLocal`).
+    */
   final class LocalEngine(initial: LocalMatrix, sampleCap: Int, seed: Long) extends Engine {
-    private var full: LocalMatrix = initial
-    def current: LocalMatrix = full
+    private val generated = ArrayBuffer.empty[GenFeature]
+    private def matrix(names: Seq[String]): LocalMatrix =
+      FeaturePlan(generated.toSeq, names).applyLocal(initial)
+    /** The original columns followed by every generated one. */
+    def current: LocalMatrix = matrix(originalNames ++ generated.map(_.name))
     def originalNames: Seq[String] = initial.names.toSeq
-    def existingNames: Set[String] = full.names.toSet
+    def existingNames: Set[String] = originalNames.toSet ++ generated.map(_.name)
     var gbdtParams: GbdtParams = GbdtParams()
-    def trainGbdt(names: Seq[String]): GbdtModel =
-      Gbdt.fit(full.selectNames(names), gbdtParams)
-    def addGenerated(gs: Seq[GenFeature]): Unit =
-      full = gs.foldLeft(full) { (cur, g) =>
-        val c = g.applyLocal(cur)
-        cur.withColumns(Array(g.name), Array.tabulate(cur.rows)(i => Array(c(i))))
-      }
+    def trainGbdt(names: Seq[String]): GbdtModel = Gbdt.fit(matrix(names), gbdtParams)
+    def addGenerated(gs: Seq[GenFeature]): Unit = generated ++= gs
     def scoringMatrix(names: Seq[String]): LocalMatrix = {
-      val sel = full.selectNames(names)
+      val sel = matrix(names)
       if (sel.rows <= sampleCap) sel
       else {
         val rng = new Random(seed)
@@ -83,9 +88,9 @@ object Safe {
       }
     }
     def ivAll(names: Seq[String], beta: Int): Map[String, Double] =
-      InfoValue.ivAllLocal(full, names, beta)
+      InfoValue.ivAllLocal(matrix(names), names, beta)
     def corrMatrix(names: Seq[String]): Array[Array[Double]] =
-      Correlation.matrixLocal(full, names)
+      Correlation.matrixLocal(matrix(names), names)
   }
 
   final class SparkEngine(df: DataFrame, labelCol: String, sampleCap: Int, seed: Long) extends Engine {
@@ -101,7 +106,7 @@ object Safe {
       // single projection (withColumn-in-a-loop is quadratic in plan size);
       // batch members never reference each other — inputs predate the batch
       if (gs.nonEmpty)
-        fullDf = fullDf.select(col("*") +: gs.map(g => g.column(fullDf).as(g.name)): _*)
+        fullDf = fullDf.select(col("*") +: gs.map(g => g.column(fullDf(_)).as(g.name)): _*)
     }
     def scoringMatrix(names: Seq[String]): LocalMatrix = {
       val sel = fullDf.select((names :+ labelCol).map(col): _*)

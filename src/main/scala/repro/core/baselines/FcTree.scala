@@ -35,7 +35,7 @@ object FcTree {
     val colCache = scala.collection.mutable.Map.empty[String, Array[Double]]
 
     def columnOf(g: GenFeature): Array[Double] =
-      colCache.getOrElseUpdate(g.name, g.applyLocal(m))
+      colCache.getOrElseUpdate(g.name, g.local(m.column))
 
     def bestSplitPoint(values: Array[Double], idx: Array[Int]): (Double, Double) = {
       // returns (threshold, gain) of best binary split

@@ -69,12 +69,16 @@ object Binning {
     */
   def applyLocal(m: LocalMatrix, edges: Array[Array[Double]]): Array[Array[Byte]] = {
     require(edges.length == m.cols, "edges width mismatch")
-    Array.tabulate(m.rows) { i =>
-      val row = new Array[Byte](m.cols)
-      var j = 0
-      while (j < m.cols) { row(j) = binOf(m.x(i)(j), edges(j)).toByte; j += 1 }
-      row
+    val out = Array.fill(m.rows)(new Array[Byte](m.cols))
+    var j = 0
+    while (j < m.cols) {
+      val c = m.column(j)
+      val e = edges(j)
+      var i = 0
+      while (i < m.rows) { out(i)(j) = binOf(c(i), e).toByte; i += 1 }
+      j += 1
     }
+    out
   }
 
   /** Number of bins per column implied by `edges`. */

@@ -51,6 +51,33 @@ class FeaturePlanSpec extends SparkSpec {
     assert(localSet.sameElements(sparkSet))
   }
 
+  test("local engine, batch, per-record and Catalyst Ψ agree value for value on a chained plan") {
+    val plan = FeaturePlan(Seq(g1, g3, g2), keep = Seq("x0", g1.name, g2.name))
+    val engine = new Safe.LocalEngine(mat, sampleCap = 1000, seed = 0)
+    engine.addGenerated(Seq(g1, g3))
+    engine.addGenerated(Seq(g2)) // g2 reads g1, added in an earlier batch
+    val current = engine.current
+    assert(current.names.sameElements(mat.names ++ Seq(g1.name, g3.name, g2.name)))
+
+    val batch = plan.applyLocal(mat)
+    assert(batch.names.sameElements(plan.keep))
+    plan.keep.foreach(n => assert(current.column(n).sameElements(batch.column(n)), n))
+    for (i <- 0 until mat.rows)
+      assert(plan.applyLocal(mat.takeRows(Array(i))).x(0).sameElements(batch.x(i)), s"record $i")
+
+    val rows = plan.transform(mat.toDF(spark), labelCol = None).collect()
+    assert(rows.length == mat.rows)
+    for (i <- rows.indices; j <- plan.keep.indices)
+      assert(rows(i).getDouble(j) == batch.column(j)(i), s"Catalyst row $i, ${plan.keep(j)}")
+  }
+
+  test("applyLocal and transform reject a generated name that collides with an input column") {
+    val clash = mat.withColumns(Array(g1.name), Array(mat.column("x2")))
+    val plan = FeaturePlan(Seq(g1), keep = Seq("x0", g1.name))
+    intercept[IllegalArgumentException](plan.applyLocal(clash))
+    intercept[IllegalArgumentException](plan.transform(clash.toDF(spark)))
+  }
+
   test("transform works for real-time inference on a 1-row DataFrame") {
     val plan = FeaturePlan(Seq(g1, g2), keep = Seq(g2.name))
     val one = mat.takeRows(Array(0))

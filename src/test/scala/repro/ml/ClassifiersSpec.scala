@@ -111,10 +111,9 @@ class ClassifiersSpec extends AnyFunSuite {
   }
 
   test("linear models survive constant features (zero variance)") {
-    val withConst = linTrain.withColumns(Array("const"),
-      Array.fill(linTrain.rows)(Array(7.0)))
+    val withConst = linTrain.withColumns(Array("const"), Array(Array.fill(linTrain.rows)(7.0)))
     val lr = Linear.fitLogistic(withConst)
-    val testConst = linTest.withColumns(Array("const"), Array.fill(linTest.rows)(Array(7.0)))
+    val testConst = linTest.withColumns(Array("const"), Array(Array.fill(linTest.rows)(7.0)))
     assert(auc(lr.predictProba(testConst), testConst) > 0.85)
   }
 

@@ -33,12 +33,33 @@ class LocalMatrixSpec extends SparkSpec {
   }
 
   test("withColumns appends and rejects duplicates") {
-    val s = sample.withColumns(Array("d"), Array(Array(10.0), Array(11.0), Array(12.0)))
+    val s = sample.withColumns(Array("d"), Array(Array(10.0, 11.0, 12.0)))
     assert(s.cols == 4 && s.names.last == "d")
     assert(s.column(3).sameElements(Array(10.0, 11.0, 12.0)))
     intercept[IllegalArgumentException] {
-      sample.withColumns(Array("a"), Array(Array(0.0), Array(0.0), Array(0.0)))
+      sample.withColumns(Array("a"), Array(Array(0.0, 0.0, 0.0)))
     }
+  }
+
+  test("x equals the columns transposed after select, takeRows and withColumns") {
+    def transposed(m: LocalMatrix): Seq[Seq[Double]] =
+      (0 until m.rows).map(i => (0 until m.cols).map(j => m.column(j)(i)))
+    val selected = sample.select(Seq(2, 0))
+    val taken = selected.takeRows(Array(2, 0, 1))
+    val appended = taken.withColumns(Array("d"), Array(Array(10.0, 11.0, 12.0)))
+    Seq(sample, selected, taken, appended).foreach { m =>
+      assert(m.x.map(_.toSeq).toSeq == transposed(m))
+    }
+    assert(appended.x(0).sameElements(Array(9.0, 7.0, 10.0)))
+  }
+
+  test("select, selectNames and withColumns share columns instead of copying") {
+    val m = sample
+    assert(m.select(Seq(2, 0)).column(1) eq m.column(0))
+    assert(m.selectNames(Seq("b")).column(0) eq m.column(1))
+    val d = Array(10.0, 11.0, 12.0)
+    val w = m.withColumns(Array("d"), Array(d))
+    assert((w.column("d") eq d) && (w.column("a") eq m.column("a")))
   }
 
   test("row/label length mismatch is rejected") {
