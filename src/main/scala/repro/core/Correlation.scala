@@ -1,9 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
-import org.apache.spark.sql.types.DoubleType
-import repro.ml.LocalMatrix
+import repro.ml.{LocalMatrix, SparkRows}
 
 /** Pearson redundancy removal — Algorithm 4 and Table II of the paper.
   *
@@ -31,7 +29,7 @@ object Correlation {
     val featNames = names.toArray
     val c = featNames.length
     if (c == 0) return Array.empty
-    val casted = df.select(featNames.map(n => col(n).cast(DoubleType)): _*)
+    val casted = SparkRows.doubles(df, featNames)
     // layout: [0,c) sums | [c,2c) sumsq | [2c, 2c + c(c+1)/2) upper-tri cross | [last] n
     val triLen = c * (c + 1) / 2
     val flat = casted.rdd.treeAggregate(new Array[Double](2 * c + triLen + 1))(
@@ -39,8 +37,7 @@ object Correlation {
         val v = new Array[Double](c)
         var j = 0
         while (j < c) {
-          val x = if (r.isNullAt(j)) 0.0 else r.getDouble(j)
-          v(j) = if (java.lang.Double.isFinite(x)) x else 0.0
+          v(j) = SparkRows.feature(r, j)
           acc(j) += v(j)
           acc(c + j) += v(j) * v(j)
           j += 1
@@ -55,7 +52,7 @@ object Correlation {
         acc(acc.length - 1) += 1.0
         acc
       },
-      combOp = { (a, b) => var i = 0; while (i < a.length) { a(i) += b(i); i += 1 }; a })
+      combOp = SparkRows.sumInto)
     val n = flat.last.toLong
     val colSums = java.util.Arrays.copyOfRange(flat, 0, c)
     val colSq = java.util.Arrays.copyOfRange(flat, c, 2 * c)

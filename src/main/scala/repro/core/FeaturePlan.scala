@@ -13,7 +13,8 @@ import repro.core.Operators.{BinaryOp, Op, UnaryOp}
 final case class GenFeature(op: Op, inputs: Seq[String]) {
   require(inputs.length == op.arity, s"${op.name} needs ${op.arity} inputs, got ${inputs.length}")
 
-  def name: String = s"${op.name}__${inputs.mkString("__")}"
+  /** Built once: Ψ looks it up for every feature of every record it serves. */
+  val name: String = s"${op.name}__${inputs.mkString("__")}"
 
   /** Catalyst expression; `input` resolves an input name to its column. */
   def column(input: String => Column): Column = op match {

@@ -1,9 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
-import org.apache.spark.sql.types.DoubleType
-import repro.ml.{Binning, LocalMatrix}
+import repro.ml.{Binning, LocalMatrix, SparkRows}
 
 /** Information Value filter — Algorithm 3 and Table I of the paper.
   *
@@ -20,16 +18,7 @@ object InfoValue {
 
   /** IV of one feature column against binary labels. */
   def iv(values: Array[Double], labels: Array[Double], beta: Int = DefaultBins): Double = {
-    val edges = Binning.quantileEdges(values, beta)
-    val bins = edges.length + 1
-    val pos = new Array[Double](bins)
-    val neg = new Array[Double](bins)
-    var i = 0
-    while (i < values.length) {
-      val b = Binning.binOf(values(i), edges)
-      if (labels(i) > 0.5) pos(b) += 1 else neg(b) += 1
-      i += 1
-    }
+    val (pos, neg) = Binning.classCounts(values, labels, Binning.quantileEdges(values, beta))
     fromCounts(pos, neg)
   }
 
@@ -62,31 +51,27 @@ object InfoValue {
                  beta: Int = DefaultBins): Map[String, Double] = {
     if (names.isEmpty) return Map.empty
     val featNames = names.toArray
-    val casted = df.select((featNames :+ labelCol).map(c => col(c).cast(DoubleType)): _*)
+    val casted = SparkRows.doubles(df, featNames :+ labelCol)
     val edges = Binning.fitSpark(casted, featNames, beta)
     val binCounts = Binning.binCounts(edges)
     val offsets = binCounts.scanLeft(0)(_ + _)
     val total = offsets.last
     val m = featNames.length
-    val sc = df.sparkSession.sparkContext
-    val bcEdges = sc.broadcast(edges)
+    val bcEdges = df.sparkSession.sparkContext.broadcast(edges)
     // layout: [0, total) positives, [total, 2*total) negatives
-    val flat = casted.rdd.treeAggregate(new Array[Double](2 * total))(
+    val flat = try casted.rdd.treeAggregate(new Array[Double](2 * total))(
       seqOp = { (acc, r) =>
         val e = bcEdges.value
-        val label = if (r.isNullAt(m)) 0.0 else r.getDouble(m)
-        val off = if (label > 0.5) 0 else total
+        val off = if (SparkRows.label(r, m) > 0.5) 0 else total
         var j = 0
         while (j < m) {
-          val v0 = if (r.isNullAt(j)) 0.0 else r.getDouble(j)
-          val v = if (java.lang.Double.isFinite(v0)) v0 else 0.0
-          acc(off + offsets(j) + Binning.binOf(v, e(j))) += 1.0
+          acc(off + offsets(j) + Binning.binOf(SparkRows.feature(r, j), e(j))) += 1.0
           j += 1
         }
         acc
       },
-      combOp = { (a, b) => var i = 0; while (i < a.length) { a(i) += b(i); i += 1 }; a })
-    bcEdges.destroy()
+      combOp = SparkRows.sumInto)
+    finally bcEdges.destroy()
     featNames.indices.map { j =>
       val pos = java.util.Arrays.copyOfRange(flat, offsets(j), offsets(j + 1))
       val neg = java.util.Arrays.copyOfRange(flat, total + offsets(j), total + offsets(j + 1))

@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.Column
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
 /** Operator registry (§III of the paper).
@@ -124,68 +123,10 @@ object Operators {
     def sql(a: String): String = s"(1.0 - 2.0 / (exp(2.0 * ($a)) + 1.0))"
   }
 
-  // ---- SQL-style GroupByThen* operators (a = group key, b = value)
-
-  sealed abstract class GroupByThen(val name: String) extends BinaryOp {
-    val commutative = false
-    protected def agg(value: Column): Column
-    protected def sqlAgg(value: String): String
-    protected def localAgg(values: Array[Double]): Double
-    def column(a: Column, b: Column): Column =
-      guardCol(coalesce(agg(b).over(Window.partitionBy(a)).cast("double"), lit(0.0)))
-    def local(a: Array[Double], b: Array[Double]): Array[Double] = {
-      val byKey = a.indices.groupBy(a(_)).map { case (k, idx) =>
-        k -> localAgg(idx.map(b(_)).toArray)
-      }
-      a.map(k => finite(byKey(k)))
-    }
-    def sql(a: String, b: String): String =
-      s"coalesce(CAST(${sqlAgg(b)} OVER (PARTITION BY $a) AS DOUBLE), 0.0)"
-  }
-
-  case object GroupByThenMax extends GroupByThen("gmax") {
-    protected def agg(v: Column): Column = max(v)
-    protected def sqlAgg(v: String): String = s"max($v)"
-    protected def localAgg(vs: Array[Double]): Double = vs.max
-  }
-
-  case object GroupByThenMin extends GroupByThen("gmin") {
-    protected def agg(v: Column): Column = min(v)
-    protected def sqlAgg(v: String): String = s"min($v)"
-    protected def localAgg(vs: Array[Double]): Double = vs.min
-  }
-
-  case object GroupByThenAvg extends GroupByThen("gavg") {
-    protected def agg(v: Column): Column = avg(v)
-    protected def sqlAgg(v: String): String = s"avg($v)"
-    protected def localAgg(vs: Array[Double]): Double = vs.sum / vs.length
-  }
-
-  case object GroupByThenCount extends GroupByThen("gcnt") {
-    protected def agg(v: Column): Column = count(v)
-    protected def sqlAgg(v: String): String = s"count($v)"
-    protected def localAgg(vs: Array[Double]): Double = vs.length.toDouble
-  }
-
-  case object GroupByThenStdev extends GroupByThen("gstd") {
-    protected def agg(v: Column): Column = stddev_samp(v)
-    protected def sqlAgg(v: String): String = s"stddev_samp($v)"
-    protected def localAgg(vs: Array[Double]): Double = {
-      if (vs.length < 2) 0.0
-      else {
-        val mean = vs.sum / vs.length
-        math.sqrt(vs.map(v => (v - mean) * (v - mean)).sum / (vs.length - 1))
-      }
-    }
-  }
-
   /** The operator set used in all of the paper's experiments: + − × ÷, with
     * ÷ expanded to both argument orders (non-commutative rule).
     */
   val basicArithmetic: Seq[BinaryOp] = Seq(Add, Sub, Mul, Div, Vid)
 
   val allUnary: Seq[UnaryOp] = Seq(Square, SqrtAbs, Log1pAbs, Tanh)
-
-  val allGroupBy: Seq[BinaryOp] =
-    Seq(GroupByThenMax, GroupByThenMin, GroupByThenAvg, GroupByThenCount, GroupByThenStdev)
 }

@@ -63,32 +63,17 @@ object PathMining {
     while (q < featCols.length) { strides(q) = stride; stride *= edges(q).length + 1; q += 1 }
     val nCells = stride
     if (nCells <= 1) return 0.0
-    val posC = new Array[Double](nCells)
-    val negC = new Array[Double](nCells)
-    var i = 0
-    while (i < m.rows) {
+    val (pos, neg) = Binning.classCounts(m.y, nCells) { i =>
       var cell = 0
       var qq = 0
       while (qq < featCols.length) {
         cell += strides(qq) * Binning.binOf(featCols(qq)(i), edges(qq))
         qq += 1
       }
-      if (m.y(i) > 0.5) posC(cell) += 1 else negC(cell) += 1
-      i += 1
+      cell
     }
-    val n = m.rows.toDouble
-    val hy = Metrics.binaryEntropy(posC.sum, negC.sum)
-    var hCond = 0.0
-    val cellW = new Array[Double](nCells)
-    var c = 0
-    while (c < nCells) {
-      val w = posC(c) + negC(c)
-      cellW(c) = w
-      if (w > 0) hCond += (w / n) * Metrics.binaryEntropy(posC(c), negC(c))
-      c += 1
-    }
-    val splitInfo = Metrics.entropy(cellW)
-    if (splitInfo < 1e-12) 0.0 else (hy - hCond) / splitInfo
+    val splitInfo = Metrics.entropy(Array.tabulate(nCells)(c => pos(c) + neg(c)))
+    if (splitInfo < 1e-12) 0.0 else Metrics.infoGain(pos, neg) / splitInfo
   }
 
   /** Algorithm 2 end-to-end: mine combinations from the model, score on a

@@ -46,8 +46,10 @@ final case class SafeResult(plan: FeaturePlan, reports: Seq[IterationReport]) {
   * `LocalEngine` keeps a column-major `LocalMatrix` on the driver
   * (benchmark-grid fast path), `SparkEngine` keeps rows distributed
   * (business-scale path). Both are lazy: added features are recorded and
-  * evaluated only where a statistic reads them. Both produce the same
-  * FeaturePlan given the same data and seed.
+  * evaluated only where a statistic reads them. Plans can differ between the
+  * engines on the same data and seed: the local engine bins with exact
+  * quantile edges, the Spark engine with `approxQuantile` edges (ROADMAP
+  * item 4 states the bound to reach).
   */
 object Safe {
 

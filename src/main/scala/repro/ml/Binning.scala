@@ -42,6 +42,27 @@ object Binning {
     lo
   }
 
+  /** Per-bin (pos, neg) label counts of `values` under `edges`. */
+  def classCounts(values: Array[Double], labels: Array[Double],
+                  edges: Array[Double]): (Array[Double], Array[Double]) =
+    classCounts(labels, edges.length + 1)(i => binOf(values(i), edges))
+
+  /** Per-bin (pos, neg) label counts: row i falls in bin `binOfRow(i)` and
+    * is positive iff `labels(i) > 0.5`. The one counting loop behind IV,
+    * information gain and gain ratio.
+    */
+  def classCounts(labels: Array[Double], bins: Int)(binOfRow: Int => Int): (Array[Double], Array[Double]) = {
+    val pos = new Array[Double](bins)
+    val neg = new Array[Double](bins)
+    var i = 0
+    while (i < labels.length) {
+      val b = binOfRow(i)
+      if (labels(i) > 0.5) pos(b) += 1 else neg(b) += 1
+      i += 1
+    }
+    (pos, neg)
+  }
+
   /** Per-column interior edges for a whole matrix. */
   def fitLocal(m: LocalMatrix, maxBins: Int): Array[Array[Double]] =
     Array.tabulate(m.cols)(j => quantileEdges(m.column(j), maxBins))

@@ -1,8 +1,6 @@
 package repro.ml
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
-import org.apache.spark.sql.types.DoubleType
 import scala.collection.mutable.ArrayBuffer
 
 /** XGBoost-lite hyper-parameters (paper defaults, §IV-D/§VI of DESIGN.md). */
@@ -105,7 +103,7 @@ object Gbdt {
   def fitDF(df: DataFrame, labelCol: String = "label",
             params: GbdtParams = GbdtParams()): GbdtModel = {
     val featNames = df.columns.filter(_ != labelCol)
-    val casted = df.select((featNames :+ labelCol).map(c => col(c).cast(DoubleType)): _*)
+    val casted = SparkRows.doubles(df, featNames :+ labelCol)
     val edges = Binning.fitSpark(casted, featNames, params.maxBins)
     val m = featNames.length
     val bc = casted.sparkSession.sparkContext.broadcast(edges)
@@ -113,13 +111,8 @@ object Gbdt {
       val e = bc.value
       val b = new Array[Byte](m)
       var j = 0
-      while (j < m) {
-        val v0 = if (r.isNullAt(j)) 0.0 else r.getDouble(j)
-        val v = if (java.lang.Double.isFinite(v0)) v0 else 0.0
-        b(j) = Binning.binOf(v, e(j)).toByte
-        j += 1
-      }
-      (b, if (r.isNullAt(m)) 0.0 else r.getDouble(m))
+      while (j < m) { b(j) = Binning.binOf(SparkRows.feature(r, j), e(j)).toByte; j += 1 }
+      (b, SparkRows.label(r, m))
     }.persist(org.apache.spark.storage.StorageLevel.MEMORY_AND_DISK)
     try train(new SparkHist(rdd), edges, featNames, params)
     finally { rdd.unpersist(blocking = false); bc.destroy() }

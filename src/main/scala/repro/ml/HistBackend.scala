@@ -102,6 +102,32 @@ object HistBackend {
     pos
   }
 
+  /** One row's step of a histogram pass, shared by both backends: route the
+    * binned row to its frontier node and add its logistic gradient and
+    * hessian to that node's bins in `acc` (g in the first half, h in the
+    * second). Rows on a finished leaf add nothing. Allocation-free.
+    */
+  private[ml] def accumulate(
+      acc: Array[Double], rowBins: Array[Byte], label: Double,
+      prevTrees: Array[Array[Node]], partial: Array[Node], pendingPos: Array[Int],
+      offsets: Array[Int], totalBins: Int): Unit = {
+    val nodeId = TreeOps.routePending(partial, rowBins)
+    if (nodeId >= 0) {
+      val p = Metrics.sigmoid(TreeOps.margin(prevTrees, rowBins))
+      val grad = p - label
+      val hess = math.max(p * (1.0 - p), 1e-16)
+      val half = acc.length / 2
+      val base = pendingPos(nodeId) * totalBins
+      var f = 0
+      while (f < offsets.length) {
+        val idx = base + offsets(f) + (rowBins(f) & 0xff)
+        acc(idx) += grad
+        acc(half + idx) += hess
+        f += 1
+      }
+    }
+  }
+
   private[ml] def unflatten(flat: Array[Double], nPending: Int, totalBins: Int)
       : (Array[Array[Double]], Array[Array[Double]]) = {
     val g = Array.tabulate(nPending)(k => java.util.Arrays.copyOfRange(flat, k * totalBins, (k + 1) * totalBins))
@@ -125,35 +151,12 @@ final class LocalHist(bins: Array[Array[Byte]], labels: Array[Double]) extends H
       totalBins: Int): (Array[Array[Double]], Array[Array[Double]]) = {
     val flat = new Array[Double](2 * pending.length * totalBins)
     val pos = HistBackend.pendingPositions(partial.length, pending)
-    val half = pending.length * totalBins
     var i = 0
     while (i < bins.length) {
-      // write g into [0, half), h into [half, 2*half) via a shifted view
-      accumulateInto(bins(i), labels(i), prevTrees, partial, pos, offsets, totalBins, flat, half)
+      HistBackend.accumulate(flat, bins(i), labels(i), prevTrees, partial, pos, offsets, totalBins)
       i += 1
     }
     HistBackend.unflatten(flat, pending.length, totalBins)
-  }
-
-  private def accumulateInto(
-      rowBins: Array[Byte], label: Double,
-      prevTrees: Array[Array[Node]], partial: Array[Node], pendingPos: Array[Int],
-      offsets: Array[Int], totalBins: Int, flat: Array[Double], half: Int): Unit = {
-    val nodeId = TreeOps.routePending(partial, rowBins)
-    if (nodeId >= 0) {
-      val k = pendingPos(nodeId)
-      val p = Metrics.sigmoid(TreeOps.margin(prevTrees, rowBins))
-      val grad = p - label
-      val hess = math.max(p * (1.0 - p), 1e-16)
-      val base = k * totalBins
-      var f = 0
-      while (f < offsets.length) {
-        val idx = base + offsets(f) + (rowBins(f) & 0xff)
-        flat(idx) += grad
-        flat(half + idx) += hess
-        f += 1
-      }
-    }
   }
 }
 
@@ -171,32 +174,12 @@ final class SparkHist(rdd: RDD[(Array[Byte], Double)]) extends HistBackend {
       offsets: Array[Int],
       totalBins: Int): (Array[Array[Double]], Array[Array[Double]]) = {
     val pos = HistBackend.pendingPositions(partial.length, pending)
-    val half = pending.length * totalBins
-    val flat = rdd.treeAggregate(new Array[Double](2 * half))(
+    val flat = rdd.treeAggregate(new Array[Double](2 * pending.length * totalBins))(
       seqOp = { (acc, row) =>
-        val (rowBins, label) = row
-        val nodeId = TreeOps.routePending(partial, rowBins)
-        if (nodeId >= 0) {
-          val k = pos(nodeId)
-          val p = Metrics.sigmoid(TreeOps.margin(prevTrees, rowBins))
-          val grad = p - label
-          val hess = math.max(p * (1.0 - p), 1e-16)
-          val base = k * totalBins
-          var f = 0
-          while (f < offsets.length) {
-            val idx = base + offsets(f) + (rowBins(f) & 0xff)
-            acc(idx) += grad
-            acc(half + idx) += hess
-            f += 1
-          }
-        }
+        HistBackend.accumulate(acc, row._1, row._2, prevTrees, partial, pos, offsets, totalBins)
         acc
       },
-      combOp = { (a, b) =>
-        var i = 0
-        while (i < a.length) { a(i) += b(i); i += 1 }
-        a
-      })
+      combOp = SparkRows.sumInto)
     HistBackend.unflatten(flat, pending.length, totalBins)
   }
 }

@@ -1,7 +1,6 @@
 package repro.ml
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types.{DoubleType, StructField, StructType}
 
 /** A named dense feature matrix with a binary label vector.
@@ -87,8 +86,7 @@ object LocalMatrix {
   def fromDF(df: DataFrame, labelCol: String = "label"): LocalMatrix = {
     val featNames = df.columns.filter(_ != labelCol)
     require(featNames.length == df.columns.length - 1, s"label column '$labelCol' not found")
-    val casted = df.select((featNames :+ labelCol).map(c => col(c).cast(DoubleType)): _*)
-    val collected = casted.collect()
+    val collected = SparkRows.doubles(df, featNames :+ labelCol).collect()
     val m = featNames.length
     val columns = Array.fill(m)(new Array[Double](collected.length))
     val y = new Array[Double](collected.length)
@@ -96,12 +94,8 @@ object LocalMatrix {
     while (i < collected.length) {
       val r = collected(i)
       var j = 0
-      while (j < m) {
-        val v = if (r.isNullAt(j)) 0.0 else r.getDouble(j)
-        columns(j)(i) = if (java.lang.Double.isFinite(v)) v else 0.0
-        j += 1
-      }
-      y(i) = if (r.isNullAt(m)) 0.0 else r.getDouble(m)
+      while (j < m) { columns(j)(i) = SparkRows.feature(r, j); j += 1 }
+      y(i) = SparkRows.label(r, m)
       i += 1
     }
     new LocalMatrix(featNames, columns, y)

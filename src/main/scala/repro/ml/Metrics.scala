@@ -58,6 +58,23 @@ object Metrics {
   /** Binary-label entropy from (#pos, #neg). */
   def binaryEntropy(nPos: Double, nNeg: Double): Double = entropy(Array(nPos, nNeg))
 
+  /** Information gain H(y) − Σ_b (w_b/n)·H(y | b) of a partition into bins,
+    * from per-bin (pos, neg) label counts; empty bins contribute nothing.
+    */
+  def infoGain(pos: Array[Double], neg: Array[Double]): Double = {
+    val nPos = pos.sum
+    val nNeg = neg.sum
+    val n = nPos + nNeg
+    var hCond = 0.0
+    var b = 0
+    while (b < pos.length) {
+      val w = pos(b) + neg(b)
+      if (w > 0) hCond += (w / n) * binaryEntropy(pos(b), neg(b))
+      b += 1
+    }
+    binaryEntropy(nPos, nNeg) - hCond
+  }
+
   /** Kullback–Leibler divergence KLD(P || Q) in nats; P(i)=0 terms vanish. */
   def kld(p: Array[Double], q: Array[Double]): Double = {
     require(p.length == q.length, "distribution length mismatch")
