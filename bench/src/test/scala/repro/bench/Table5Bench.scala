@@ -36,4 +36,11 @@ class Table5Bench extends AnyFunSuite {
     assert(times((80, "TFC")) > times((80, "SAFE")),
       "TFC must be slower than SAFE at M=80")
   }
+
+  test("Local GBDT tree scaling: one timing per tree count on vehicle") {
+    val trees = Seq(10, 20, 40)
+    val times = Tables.gbdtTreeScaling(println, trees)
+    assert(times.keySet == trees.toSet)
+    assert(times.values.forall(s => s > 0 && !s.isInfinite), s"times=$times")
+  }
 }

@@ -5,6 +5,7 @@ import org.apache.spark.sql.SparkSession
 import repro.core.SafeConfig
 import repro.data.SynthClass
 import repro.data.SynthClass.DatasetSpec
+import repro.ml.{Gbdt, GbdtParams}
 /** Generators for the paper's evaluation tables. Each returns its numbers
   * (for assertions / EXPERIMENTS.md) and prints the formatted table through
   * `sink`. Shared by the bench suites (`bench/`) and the spark-submit jobs
@@ -110,6 +111,25 @@ object Tables {
         Seq(m.toString) ++ methods.map(meth => f"${t(meth)}%.2f") ++ Seq(f"${t("TFC") / t("SAFE")}%.1f")
       }, sink)
     rows.flatMap { case (m, ts) => ts.map { case (meth, s) => (m, meth) -> s } }.toMap
+  }
+
+  /** Companion to Table V: local GBDT (`Gbdt.fit`) wall time in seconds on
+    * vehicle, the median of three fits per tree count. With each row's
+    * margin kept across trees, the cost should grow about linearly in them.
+    */
+  def gbdtTreeScaling(sink: String => Unit, trees: Seq[Int] = Seq(10, 20, 40)): Map[Int, Double] = {
+    val train = SynthClass.generateByName("vehicle", seed = 0).train
+    Gbdt.fit(train, GbdtParams(numTrees = trees.max)) // JIT warm-up
+    val times = trees.map { t =>
+      t -> Seq.fill(3) {
+        val t0 = System.nanoTime()
+        Gbdt.fit(train, GbdtParams(numTrees = t))
+        (System.nanoTime() - t0) / 1e9
+      }.sorted.apply(1)
+    }
+    sink(s"Local GBDT on vehicle (${train.rows}x${train.cols}), ms at ${trees.mkString(" / ")} trees: " +
+      times.map { case (_, s) => f"${s * 1000}%.0f" }.mkString(" / "))
+    times.toMap
   }
 
   /** Table VI: feature stability (JSD vs the ideal distribution), T runs.

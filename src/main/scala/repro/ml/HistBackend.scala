@@ -67,8 +67,10 @@ object TreeOps {
   * One implementation keeps binned rows on the driver (fast path for the
   * paper's single-machine benchmarks); the other holds an
   * `RDD[(Array[Byte], Double)]` and aggregates with `treeAggregate` — the
-  * distributed path used for the business-scale tables. Both return
-  * bit-identical histograms, which the test suite asserts.
+  * distributed path used for the business-scale tables. Both add the same
+  * per-row terms, but Spark's sums depend on the order in which partition
+  * partials are merged, so the two agree only up to rounding: `GbdtSpec`
+  * checks the trees they grow match split for split, with weights within 1e-9.
   */
 trait HistBackend {
 
@@ -76,6 +78,10 @@ trait HistBackend {
 
   /** Gradient/hessian histograms for every frontier node of the tree under
     * construction, under logistic loss with margins from `prevTrees`.
+    *
+    * A backend may cache each row's margin under a prefix of `prevTrees` it
+    * has already seen (the same tree arrays, compared by reference) and fold
+    * in only the trees after it, so finalized trees must not be mutated.
     *
     * @param prevTrees finalized trees of the model so far
     * @param partial   nodes of the tree being grown (contains Pending nodes)
@@ -104,16 +110,17 @@ object HistBackend {
 
   /** One row's step of a histogram pass, shared by both backends: route the
     * binned row to its frontier node and add its logistic gradient and
-    * hessian to that node's bins in `acc` (g in the first half, h in the
+    * hessian at `margin` (the row's `TreeOps.margin` under the finalized
+    * trees) to that node's bins in `acc` (g in the first half, h in the
     * second). Rows on a finished leaf add nothing. Allocation-free.
     */
   private[ml] def accumulate(
-      acc: Array[Double], rowBins: Array[Byte], label: Double,
-      prevTrees: Array[Array[Node]], partial: Array[Node], pendingPos: Array[Int],
+      acc: Array[Double], rowBins: Array[Byte], label: Double, margin: Double,
+      partial: Array[Node], pendingPos: Array[Int],
       offsets: Array[Int], totalBins: Int): Unit = {
     val nodeId = TreeOps.routePending(partial, rowBins)
     if (nodeId >= 0) {
-      val p = Metrics.sigmoid(TreeOps.margin(prevTrees, rowBins))
+      val p = Metrics.sigmoid(margin)
       val grad = p - label
       val hess = math.max(p * (1.0 - p), 1e-16)
       val half = acc.length / 2
@@ -137,11 +144,36 @@ object HistBackend {
   }
 }
 
-/** Driver-side backend over pre-binned rows. */
+/** Driver-side backend over pre-binned rows. It keeps each row's margin
+  * under the trees it has seen, so a pass folds in only the trees finished
+  * since the last one instead of re-scoring every row under all of them.
+  */
 final class LocalHist(bins: Array[Array[Byte]], labels: Array[Double]) extends HistBackend {
   require(bins.length == labels.length, "bins/labels length mismatch")
 
   override def numRows: Long = bins.length.toLong
+
+  /** `margins(i)` is row i's `TreeOps.margin` under `folded`. */
+  private val margins = new Array[Double](bins.length)
+  private var folded = Array.empty[Array[Node]]
+
+  /** Brings `margins` to `prevTrees`: keeps them if `folded` is a prefix of
+    * it, else starts from 0, then adds each later tree in order, as
+    * `TreeOps.margin` does, so the sums are the same doubles.
+    */
+  private def foldIn(prevTrees: Array[Array[Node]]): Unit = {
+    val isPrefix = folded.length <= prevTrees.length &&
+      folded.indices.forall(t => folded(t) eq prevTrees(t))
+    if (!isPrefix) { java.util.Arrays.fill(margins, 0.0); folded = Array.empty }
+    var t = folded.length
+    while (t < prevTrees.length) {
+      val tree = prevTrees(t)
+      var i = 0
+      while (i < bins.length) { margins(i) += TreeOps.predict(tree, bins(i)); i += 1 }
+      t += 1
+    }
+    folded = prevTrees.clone()
+  }
 
   override def histograms(
       prevTrees: Array[Array[Node]],
@@ -149,11 +181,12 @@ final class LocalHist(bins: Array[Array[Byte]], labels: Array[Double]) extends H
       pending: Array[Int],
       offsets: Array[Int],
       totalBins: Int): (Array[Array[Double]], Array[Array[Double]]) = {
+    foldIn(prevTrees)
     val flat = new Array[Double](2 * pending.length * totalBins)
     val pos = HistBackend.pendingPositions(partial.length, pending)
     var i = 0
     while (i < bins.length) {
-      HistBackend.accumulate(flat, bins(i), labels(i), prevTrees, partial, pos, offsets, totalBins)
+      HistBackend.accumulate(flat, bins(i), labels(i), margins(i), partial, pos, offsets, totalBins)
       i += 1
     }
     HistBackend.unflatten(flat, pending.length, totalBins)
@@ -162,6 +195,8 @@ final class LocalHist(bins: Array[Array[Byte]], labels: Array[Double]) extends H
 
 /** Distributed backend: binned rows live in an RDD, statistics are merged
   * with `treeAggregate` so the driver only ever sees O(#nodes × #bins).
+  * Margins are recomputed in each pass: an RDD of margins rebuilt for every
+  * tree measured slower than the re-scoring it saves (ROADMAP item 2).
   */
 final class SparkHist(rdd: RDD[(Array[Byte], Double)]) extends HistBackend {
 
@@ -176,7 +211,8 @@ final class SparkHist(rdd: RDD[(Array[Byte], Double)]) extends HistBackend {
     val pos = HistBackend.pendingPositions(partial.length, pending)
     val flat = rdd.treeAggregate(new Array[Double](2 * pending.length * totalBins))(
       seqOp = { (acc, row) =>
-        HistBackend.accumulate(acc, row._1, row._2, prevTrees, partial, pos, offsets, totalBins)
+        HistBackend.accumulate(acc, row._1, row._2, TreeOps.margin(prevTrees, row._1),
+          partial, pos, offsets, totalBins)
         acc
       },
       combOp = SparkRows.sumInto)

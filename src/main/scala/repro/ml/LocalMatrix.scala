@@ -60,17 +60,36 @@ final class LocalMatrix(val names: Array[String], columns: Array[Array[Double]],
     new LocalMatrix(names ++ extraNames, columns ++ extra, y)
   }
 
-  /** To a Spark DataFrame with a `label` column appended. */
+  /** To a Spark DataFrame with a `label` column appended.
+    *
+    * With k = clamp(rows / 1000, 1, 8) partitions, partition p holds rows
+    * [p·rows/k, (p+1)·rows/k) in order, as `parallelize` over the rows would
+    * place them. Each partition is one chunk of primitive column slices, and
+    * its rows are built on the executors: the parallelized collection travels
+    * inside every task of every job that reads the frame, and boxed rows made
+    * those tasks slow to deserialise.
+    */
   def toDF(spark: SparkSession): DataFrame = {
     val schema = StructType(
       names.map(n => StructField(n, DoubleType, nullable = false)) :+
         StructField("label", DoubleType, nullable = false))
-    val rowSeq: Seq[Row] = (0 until rows).map(i => Row.fromSeq(columns.map(_(i)).toIndexedSeq :+ y(i)))
-    spark.createDataFrame(spark.sparkContext.parallelize(rowSeq, math.max(1, math.min(8, rows / 1000))), schema)
+    val k = math.max(1, math.min(8, rows / 1000))
+    val chunks = (0 until k).map { p =>
+      val from = (p.toLong * rows / k).toInt
+      val until = ((p + 1).toLong * rows / k).toInt
+      (columns.map(java.util.Arrays.copyOfRange(_, from, until)), java.util.Arrays.copyOfRange(y, from, until))
+    }
+    spark.createDataFrame(spark.sparkContext.parallelize(chunks, k).flatMap(LocalMatrix.chunkRows), schema)
   }
 }
 
 object LocalMatrix {
+
+  /** The rows of a `toDF` chunk: its features, then the label. */
+  private def chunkRows(chunk: (Array[Array[Double]], Array[Double])): Iterator[Row] = {
+    val (cols, labels) = chunk
+    Iterator.tabulate(labels.length)(i => Row.fromSeq(cols.map(_(i)).toSeq :+ labels(i)))
+  }
 
   /** From row-major values: `x` is rows × M. */
   def apply(names: Array[String], x: Array[Array[Double]], y: Array[Double]): LocalMatrix = {

@@ -77,6 +77,33 @@ class LocalMatrixSpec extends SparkSpec {
     val origRows = sample.x.zip(sample.y).map { case (r, y) => (r.toSeq, y) }.toSet
     val backRows = back.x.zip(back.y).map { case (r, y) => (r.toSeq, y) }.toSet
     assert(origRows == backRows)
+    // one partition (empty and < 1 000 rows) and several of unequal size:
+    // collect reads partitions in order, so the round trip keeps row order
+    Seq(0, 7, 3001).foreach { n =>
+      val m = indexed(n)
+      val again = LocalMatrix.fromDF(m.toDF(spark))
+      assert(again.names.sameElements(m.names), s"n=$n")
+      assert((0 until m.cols).forall(j => again.column(j).sameElements(m.column(j))), s"n=$n")
+      assert(again.y.sameElements(m.y), s"n=$n")
+    }
+  }
+
+  /** Column `i` holds the row index, `v` a value per row, labels alternate. */
+  private def indexed(n: Int): LocalMatrix = new LocalMatrix(
+    Array("i", "v"),
+    Array(Array.tabulate(n)(_.toDouble), Array.tabulate(n)(r => math.sin(r.toDouble))),
+    Array.tabulate(n)(r => (r % 2).toDouble))
+
+  test("toDF partition p holds rows [p*n/k, (p+1)*n/k) in order") {
+    val n = 3001 // k = 3 partitions, n not divisible by k
+    val parts = indexed(n).toDF(spark).rdd.glom().collect()
+    val k = parts.length
+    assert(k == 3)
+    parts.zipWithIndex.foreach { case (rows, p) =>
+      val expected = (p.toLong * n / k until (p + 1).toLong * n / k).map(_.toDouble)
+      assert(rows.map(_.getDouble(0)).toSeq == expected, s"partition $p")
+      assert(rows.forall(r => r.getDouble(1) == math.sin(r.getDouble(0)) && r.getDouble(2) == r.getDouble(0) % 2))
+    }
   }
 
   test("fromDF zeroes non-finite values") {
