@@ -44,15 +44,15 @@ object InfoValue {
     names.map(n => n -> iv(m.column(n), m.y, beta)).toMap
   }
 
-  /** Distributed IV: equal-frequency edges from approxQuantile, then one
+  /** Distributed IV under per-name `edges` (`Binning.fitLocal` at β bins;
+    * with `ivAllLocal`'s edges the values are its values): one
     * `treeAggregate` pass accumulating per-(feature, bin, class) counts.
     */
-  def ivAllSpark(df: DataFrame, names: Seq[String], labelCol: String = "label",
-                 beta: Int = DefaultBins): Map[String, Double] = {
+  def ivAllSpark(df: DataFrame, names: Seq[String], edges: Array[Array[Double]],
+                 labelCol: String = "label"): Map[String, Double] = {
     if (names.isEmpty) return Map.empty
     val featNames = names.toArray
     val casted = SparkRows.doubles(df, featNames :+ labelCol)
-    val edges = Binning.fitSpark(casted, featNames, beta)
     val binCounts = Binning.binCounts(edges)
     val offsets = binCounts.scanLeft(0)(_ + _)
     val total = offsets.last

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.col
-import repro.ml.{Gbdt, GbdtModel, GbdtParams, LocalMatrix}
+import repro.ml.{Binning, Gbdt, GbdtModel, GbdtParams, LocalMatrix}
 import repro.core.Operators.{BinaryOp, UnaryOp}
 import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
@@ -29,7 +29,8 @@ final case class SafeConfig(
     maxOutFactor: Double = 2.0,
     nIter: Int = 1,
     gbdt: GbdtParams = GbdtParams(),
-    /** rows used for gain-ratio scoring (a ranking heuristic — sampled). */
+    /** rows sampled for gain-ratio scoring (a ranking heuristic); on Spark
+      * the same sample also yields every bin edge (GBDT and IV). */
     igSampleCap: Int = 100000,
     seed: Long = 0)
 
@@ -46,10 +47,12 @@ final case class SafeResult(plan: FeaturePlan, reports: Seq[IterationReport]) {
   * `LocalEngine` keeps a column-major `LocalMatrix` on the driver
   * (benchmark-grid fast path), `SparkEngine` keeps rows distributed
   * (business-scale path). Both are lazy: added features are recorded and
-  * evaluated only where a statistic reads them. Plans can differ between the
-  * engines on the same data and seed: the local engine bins with exact
-  * quantile edges, the Spark engine with `approxQuantile` edges (ROADMAP
-  * item 4 states the bound to reach).
+  * evaluated only where a statistic reads them. Both bin with
+  * `Binning.fitLocal`, the Spark engine on its driver-side sample, so for
+  * N ≤ `igSampleCap` `fitSpark`'s plan equals `fitLocal`'s (generated
+  * features and keep order) unless a split gain, importance or |ρ| ties
+  * within merge-order rounding. For N > cap the kept sets overlap but may
+  * differ (`SafeSpec` tests both).
   */
 object Safe {
 
@@ -72,7 +75,7 @@ object Safe {
     */
   final class LocalEngine(initial: LocalMatrix, sampleCap: Int, seed: Long) extends Engine {
     private val generated = ArrayBuffer.empty[GenFeature]
-    private def matrix(names: Seq[String]): LocalMatrix =
+    private[core] def matrix(names: Seq[String]): LocalMatrix =
       FeaturePlan(generated.toSeq, names).applyLocal(initial)
     /** The original columns followed by every generated one. */
     def current: LocalMatrix = matrix(originalNames ++ generated.map(_.name))
@@ -95,30 +98,34 @@ object Safe {
       Correlation.matrixLocal(matrix(names), names)
   }
 
+  /** Distributed engine: Spark jobs only count (GBDT histograms, IV bins,
+    * Pearson sums). Bin edges and the scoring matrix come from a `LocalEngine`
+    * over one driver-side sample of the original columns, collected on first
+    * use: the whole frame when N ≤ `sampleCap`, else a seeded `sample(cap / N)`.
+    */
   final class SparkEngine(df: DataFrame, labelCol: String, sampleCap: Int, seed: Long) extends Engine {
     private var fullDf: DataFrame = df
-    private lazy val nRows: Long = df.count()
+    private lazy val sample: LocalEngine = {
+      val n = df.count()
+      val rows = if (n <= sampleCap) df else df.sample(withReplacement = false, sampleCap.toDouble / n, seed)
+      new LocalEngine(LocalMatrix.fromDF(rows, labelCol), sampleCap, seed)
+    }
     var gbdtParams: GbdtParams = GbdtParams()
-    def currentDf: DataFrame = fullDf
     def originalNames: Seq[String] = df.columns.filter(_ != labelCol).toSeq
     def existingNames: Set[String] = fullDf.columns.filterNot(_ == labelCol).toSet
     def trainGbdt(names: Seq[String]): GbdtModel =
-      Gbdt.fitDF(fullDf.select((names :+ labelCol).map(col): _*), labelCol, gbdtParams)
+      Gbdt.fitDF(fullDf.select((names :+ labelCol).map(col): _*),
+        Binning.fitLocal(sample.matrix(names), gbdtParams.maxBins), labelCol, gbdtParams)
     def addGenerated(gs: Seq[GenFeature]): Unit = {
       // single projection (withColumn-in-a-loop is quadratic in plan size);
       // batch members never reference each other — inputs predate the batch
       if (gs.nonEmpty)
         fullDf = fullDf.select(col("*") +: gs.map(g => g.column(fullDf(_)).as(g.name)): _*)
+      sample.addGenerated(gs)
     }
-    def scoringMatrix(names: Seq[String]): LocalMatrix = {
-      val sel = fullDf.select((names :+ labelCol).map(col): _*)
-      val sampled =
-        if (nRows <= sampleCap) sel
-        else sel.sample(withReplacement = false, sampleCap.toDouble / nRows, seed)
-      LocalMatrix.fromDF(sampled, labelCol)
-    }
+    def scoringMatrix(names: Seq[String]): LocalMatrix = sample.matrix(names)
     def ivAll(names: Seq[String], beta: Int): Map[String, Double] =
-      InfoValue.ivAllSpark(fullDf, names, labelCol, beta)
+      InfoValue.ivAllSpark(fullDf, names, Binning.fitLocal(sample.matrix(names), beta), labelCol)
     def corrMatrix(names: Seq[String]): Array[Array[Double]] =
       Correlation.matrixSpark(fullDf, names)
   }

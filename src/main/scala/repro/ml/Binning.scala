@@ -1,7 +1,5 @@
 package repro.ml
 
-import org.apache.spark.sql.DataFrame
-
 /** Quantile feature binning — the discretization substrate shared by the
   * GBDT (histogram splits), the IV filter (equal-frequency bins, Alg. 3) and
   * the comparators' information-gain scoring.
@@ -63,27 +61,11 @@ object Binning {
     (pos, neg)
   }
 
-  /** Per-column interior edges for a whole matrix. */
+  /** Per-column interior edges for a whole matrix: the one edge definition
+    * of both engines (the Spark engine fits them on its driver-side sample).
+    */
   def fitLocal(m: LocalMatrix, maxBins: Int): Array[Array[Double]] =
     Array.tabulate(m.cols)(j => quantileEdges(m.column(j), maxBins))
-
-  /** Per-column interior edges computed by Spark's approximate quantiles —
-    * the distributed path used on business-scale data. `labelCol` excluded.
-    */
-  def fitSpark(df: DataFrame, featNames: Array[String], maxBins: Int,
-               relErr: Double = 0.001): Array[Array[Double]] = {
-    require(maxBins >= 2, "need at least 2 bins")
-    import org.apache.spark.sql.functions.max
-    val probs = (1 until maxBins).map(_.toDouble / maxBins).toArray
-    val qs = df.stat.approxQuantile(featNames, probs, relErr)
-    val maxRow = df.agg(max(featNames.head), featNames.tail.map(max(_)).toIndexedSeq: _*).head()
-    featNames.indices.map { j =>
-      val colMax = if (maxRow.isNullAt(j)) Double.PositiveInfinity
-                   else maxRow.get(j).toString.toDouble
-      // Same contract as quantileEdges: strictly increasing, below column max.
-      qs(j).distinct.sorted.filter(_ < colMax)
-    }.toArray
-  }
 
   /** Apply per-column edges to a matrix, producing row-major bin codes.
     * Bin counts must fit a byte (maxBins ≤ 127 enforced upstream).

@@ -99,12 +99,14 @@ object Gbdt {
     train(new LocalHist(bins, m.y), edges, m.names, params)
   }
 
-  /** Train on a DataFrame with distributed histogram aggregation. */
-  def fitDF(df: DataFrame, labelCol: String = "label",
+  /** Train on a DataFrame with distributed histogram aggregation under
+    * per-feature `edges` (`Binning.fitLocal` at `params.maxBins`; with `fit`'s
+    * edges the trees are `fit`'s up to merge-order rounding).
+    */
+  def fitDF(df: DataFrame, edges: Array[Array[Double]], labelCol: String = "label",
             params: GbdtParams = GbdtParams()): GbdtModel = {
     val featNames = df.columns.filter(_ != labelCol)
     val casted = SparkRows.doubles(df, featNames :+ labelCol)
-    val edges = Binning.fitSpark(casted, featNames, params.maxBins)
     val m = featNames.length
     val bc = casted.sparkSession.sparkContext.broadcast(edges)
     val rdd = casted.rdd.map { r =>

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.{SparkSpec, TestData}
-import repro.ml.LocalMatrix
+import repro.ml.{Binning, LocalMatrix}
 import scala.util.Random
 
 class InfoValueSpec extends SparkSpec {
@@ -54,17 +54,13 @@ class InfoValueSpec extends SparkSpec {
   test("ivAllSpark agrees with ivAllLocal") {
     val m = TestData.linear(1500, 4, seed = 3)
     val local = InfoValue.ivAllLocal(m, m.names.toSeq)
-    val sparkIvs = InfoValue.ivAllSpark(m.toDF(spark), m.names.toSeq)
-    assert(sparkIvs.keySet == local.keySet)
-    // approx quantile edges can shift bin boundaries slightly
-    local.foreach { case (k, v) =>
-      assert(math.abs(sparkIvs(k) - v) < 0.08, s"$k: local=$v spark=${sparkIvs(k)}")
-    }
+    val sparkIvs = InfoValue.ivAllSpark(m.toDF(spark), m.names.toSeq, Binning.fitLocal(m, 10))
+    assert(sparkIvs == local)
   }
 
   test("ivAllSpark on empty name list returns empty") {
     val m = TestData.linear(50, 2, seed = 4)
-    assert(InfoValue.ivAllSpark(m.toDF(spark), Nil).isEmpty)
+    assert(InfoValue.ivAllSpark(m.toDF(spark), Nil, Array.empty).isEmpty)
   }
 
   test("filter keeps only features above alpha, sorted by IV") {

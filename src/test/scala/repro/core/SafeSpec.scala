@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.{SparkSpec, TestData}
-import repro.ml.{Gbdt, GbdtParams, Linear, Metrics}
+import repro.ml.{Gbdt, GbdtParams, Linear, LocalMatrix, Metrics}
 
 class SafeSpec extends SparkSpec {
 
@@ -133,6 +133,36 @@ class SafeSpec extends SparkSpec {
     val sparkAuc = Metrics.auc(teNew.y, Linear.fitLogistic(trNew).predictProba(teNew))
     assert(sparkAuc > origAuc, s"orig=$origAuc spark=$sparkAuc")
     df.unpersist()
+  }
+
+  /** `fitLocal` and `fitSpark` results on the same rows. */
+  private def bothEngines(m: LocalMatrix, cfg: SafeConfig): (SafeResult, SafeResult) = {
+    val df = m.toDF(spark).cache()
+    df.count()
+    try (Safe.fitLocal(m, cfg), Safe.fitSpark(df, "label", cfg))
+    finally df.unpersist()
+  }
+
+  test("fitSpark plan equals fitLocal's when every row is in the edge sample") {
+    val cases = Seq(train -> fastCfg, TestData.planted(3000, 20, seed = 8) -> fastCfg.copy(maxOutFactor = 1.0))
+    val reports = cases.map { case (m, cfg) =>
+      assert(m.rows <= cfg.igSampleCap)
+      val (local, dist) = bothEngines(m, cfg)
+      assert(dist.plan.generated == local.plan.generated)
+      assert(dist.plan.keep == local.plan.keep)
+      local.reports.head
+    }
+    // the second case reaches the ranking GBDT: more survive Pearson than the cap keeps
+    assert(reports(1).afterCorr > reports(1).selected, reports(1))
+  }
+
+  test("fitSpark keeps most of fitLocal's features when edges come from a sample") {
+    val m = TestData.planted(2000, 6, seed = 14)
+    val cfg = SafeConfig(igSampleCap = 500)
+    val (local, dist) = bothEngines(m, cfg)
+    val (a, b) = (local.plan.keep.toSet, dist.plan.keep.toSet)
+    val jaccard = (a & b).size.toDouble / (a | b).size
+    assert(jaccard >= 0.75, s"local=${local.plan.keep} spark=${dist.plan.keep}")
   }
 
   test("fitSpark plan transform runs on a 1-row DataFrame (real-time inference)") {

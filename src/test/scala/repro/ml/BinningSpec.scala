@@ -89,27 +89,6 @@ class BinningSpec extends SparkSpec {
     assert(counts(1) <= 3) // only three distinct values
   }
 
-  test("fitSpark edges approximate local edges on the same data") {
-    val rng = new Random(11)
-    val m = LocalMatrix(Array("a"), Array.fill(2000)(Array(rng.nextGaussian())), Array.fill(2000)(0.0))
-    val df = m.toDF(spark)
-    val sparkEdges = Binning.fitSpark(df.select("a"), Array("a"), 8)
-    val localEdges = Binning.fitLocal(m, 8)
-    assert(sparkEdges.length == 1)
-    assert(sparkEdges(0).nonEmpty)
-    // approx quantiles at relErr 0.001 on 2000 rows should be very close
-    sparkEdges(0).zip(localEdges(0)).foreach { case (s, l) =>
-      assert(math.abs(s - l) < 0.2, s"spark=$s local=$l")
-    }
-  }
-
-  test("fitSpark on a constant column yields no edges") {
-    val m = LocalMatrix(Array("a"), Array.fill(100)(Array(5.0)), Array.fill(100)(0.0))
-    val df = m.toDF(spark)
-    val edges = Binning.fitSpark(df.select("a"), Array("a"), 8)
-    assert(edges(0).isEmpty)
-  }
-
   test("binCounts is edges+1 per column") {
     assert(Binning.binCounts(Array(Array(1.0, 2.0), Array.empty, Array(0.5)))
       .sameElements(Array(3, 1, 2)))
