@@ -9,7 +9,7 @@ import repro.bench.Tables
   */
 object TableVIII {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("safe-table8")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)

@@ -2,7 +2,7 @@ package repro.bench
 
 import org.apache.spark.sql.SparkSession
 import repro.core._
-import repro.core.baselines.{FcTree, RandImp, Tfc}
+import repro.core.baselines.{FcTree, Tfc}
 import repro.data.SynthClass.Dataset
 import repro.ml._
 
@@ -22,8 +22,8 @@ object Harness {
       case "ORIG" => FeaturePlan(Nil, train.names.toSeq)
       case "FCT"  => FcTree.fit(train, FcTree.FcTreeConfig(ops = cfg.binaryOps, seed = seed))
       case "TFC"  => Tfc.fit(train, Tfc.TfcConfig(ops = cfg.binaryOps))
-      case "RAND" => RandImp.fitRandLocal(train, cfg.copy(seed = seed)).plan
-      case "IMP"  => RandImp.fitImpLocal(train, cfg.copy(seed = seed)).plan
+      case "RAND" => Safe.fitLocal(train, cfg.copy(seed = seed), RandomCombos).plan
+      case "IMP"  => Safe.fitLocal(train, cfg.copy(seed = seed), ImportantCombos).plan
       case "SAFE" => Safe.fitLocal(train, cfg.copy(seed = seed)).plan
       case other  => throw new IllegalArgumentException(s"unknown method $other")
     }
@@ -99,8 +99,8 @@ object Harness {
     df.count()
     val plan = method match {
       case "ORIG" => FeaturePlan(Nil, train.names.toSeq)
-      case "RAND" => RandImp.fitRandSpark(df, "label", cfg.copy(seed = seed)).plan
-      case "IMP"  => RandImp.fitImpSpark(df, "label", cfg.copy(seed = seed)).plan
+      case "RAND" => Safe.fitSpark(df, "label", cfg.copy(seed = seed), RandomCombos).plan
+      case "IMP"  => Safe.fitSpark(df, "label", cfg.copy(seed = seed), ImportantCombos).plan
       case "SAFE" => Safe.fitSpark(df, "label", cfg.copy(seed = seed)).plan
       case other  => throw new IllegalArgumentException(s"unsupported Spark method $other")
     }

@@ -145,7 +145,7 @@ object Tables {
       val scores = methods.map { m =>
         val jsd = Stability.measure(tRuns, { t =>
           val d = SynthClass.generate(spec, seed = t)
-          Harness.runFE(m, d.train, seed = t)._1.featureIds
+          Harness.runFE(m, d.train, seed = t)._1.keep
         })
         m -> jsd
       }

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.rdd.RDD
 import repro.ml.{LocalMatrix, SparkRows}
 
 /** Pearson redundancy removal — Algorithm 4 and Table II of the paper.
@@ -18,83 +18,65 @@ object Correlation {
 
   /** Full Pearson matrix of the named columns of a local matrix (Eq. 7). */
   def matrixLocal(m: LocalMatrix, names: Seq[String]): Array[Array[Double]] = {
-    val cols = names.map(m.column).toArray
-    fromSums(sums(cols, m.rows), names.length, m.rows)
+    val acc = new Array[Double](sumsLength(names.length))
+    addSums(acc, names.map(m.column).toArray, m.rows)
+    fromSums(acc, names.length)
   }
 
-  /** Distributed Pearson matrix: one `treeAggregate` pass over the rows
-    * accumulating sums, squares and upper-triangle cross products.
+  /** Distributed Pearson matrix over row blocks whose columns are `names`, in
+    * order: one `treeAggregate` pass adding each block's sums with `addSums`.
     */
-  def matrixSpark(df: DataFrame, names: Seq[String]): Array[Array[Double]] = {
-    val featNames = names.toArray
-    val c = featNames.length
+  def matrixSpark(blocks: RDD[LocalMatrix], names: Seq[String]): Array[Array[Double]] = {
+    val c = names.length
     if (c == 0) return Array.empty
-    val casted = SparkRows.doubles(df, featNames)
-    // layout: [0,c) sums | [c,2c) sumsq | [2c, 2c + c(c+1)/2) upper-tri cross | [last] n
-    val triLen = c * (c + 1) / 2
-    val flat = casted.rdd.treeAggregate(new Array[Double](2 * c + triLen + 1))(
-      seqOp = { (acc, r) =>
-        val v = new Array[Double](c)
-        var j = 0
-        while (j < c) {
-          v(j) = SparkRows.feature(r, j)
-          acc(j) += v(j)
-          acc(c + j) += v(j) * v(j)
-          j += 1
-        }
-        var t = 2 * c
-        var i = 0
-        while (i < c) {
-          var k = i
-          while (k < c) { acc(t) += v(i) * v(k); t += 1; k += 1 }
-          i += 1
-        }
-        acc(acc.length - 1) += 1.0
-        acc
-      },
+    val acc = blocks.treeAggregate(new Array[Double](sumsLength(c)))(
+      seqOp = { (acc, b) => addSums(acc, Array.tabulate(c)(b.column), b.rows); acc },
       combOp = SparkRows.sumInto)
-    val n = flat.last.toLong
-    val colSums = java.util.Arrays.copyOfRange(flat, 0, c)
-    val colSq = java.util.Arrays.copyOfRange(flat, c, 2 * c)
-    val cross = Array.ofDim[Double](c, c)
+    fromSums(acc, c)
+  }
+
+  // Sums layout for c columns: [0,c) sums | [c,2c) squares |
+  // [2c, 2c + c(c+1)/2) upper-triangle cross products, row-major | [last] n.
+  private def sumsLength(c: Int): Int = 2 * c + c * (c + 1) / 2 + 1
+
+  private def crossIndex(c: Int, i: Int, k: Int): Int = {
+    val a = math.min(i, k)
+    2 * c + a * c - a * (a - 1) / 2 + (math.max(i, k) - a)
+  }
+
+  /** Adds the sums of `n` rows of `cols` into `acc` (layout above). Every
+    * cell continues from its current value row by row, so a partition's
+    * blocks sum exactly as one pass over its rows would.
+    */
+  private def addSums(acc: Array[Double], cols: Array[Array[Double]], n: Int): Unit = {
+    val c = cols.length
     var t = 2 * c
     var i = 0
     while (i < c) {
-      var k = i
-      while (k < c) { cross(i)(k) = flat(t); cross(k)(i) = flat(t); t += 1; k += 1 }
-      i += 1
-    }
-    fromSums((colSums, colSq, cross), c, n)
-  }
-
-  private def sums(cols: Array[Array[Double]], n: Long)
-      : (Array[Double], Array[Double], Array[Array[Double]]) = {
-    val c = cols.length
-    val s = new Array[Double](c)
-    val sq = new Array[Double](c)
-    val cross = Array.ofDim[Double](c, c)
-    var i = 0
-    while (i < c) {
       val ci = cols(i)
+      var s = acc(i)
+      var sq = acc(c + i)
       var r = 0
-      while (r < ci.length) { s(i) += ci(r); sq(i) += ci(r) * ci(r); r += 1 }
+      while (r < n) { s += ci(r); sq += ci(r) * ci(r); r += 1 }
+      acc(i) = s
+      acc(c + i) = sq
       var k = i
       while (k < c) {
         val ck = cols(k)
-        var rr = 0
-        var acc = 0.0
-        while (rr < ci.length) { acc += ci(rr) * ck(rr); rr += 1 }
-        cross(i)(k) = acc; cross(k)(i) = acc
+        var cross = acc(t)
+        r = 0
+        while (r < n) { cross += ci(r) * ck(r); r += 1 }
+        acc(t) = cross
+        t += 1
         k += 1
       }
       i += 1
     }
-    (s, sq, cross)
+    acc(acc.length - 1) += n
   }
 
-  private def fromSums(sums: (Array[Double], Array[Double], Array[Array[Double]]),
-                       c: Int, n: Long): Array[Array[Double]] = {
-    val (s, sq, cross) = sums
+  private def fromSums(acc: Array[Double], c: Int): Array[Array[Double]] = {
+    val n = acc(acc.length - 1)
     val out = Array.ofDim[Double](c, c)
     var i = 0
     while (i < c) {
@@ -102,9 +84,9 @@ object Correlation {
       while (k < c) {
         if (i == k) out(i)(k) = 1.0
         else {
-          val cov = cross(i)(k) - s(i) * s(k) / n
-          val vi = sq(i) - s(i) * s(i) / n
-          val vk = sq(k) - s(k) * s(k) / n
+          val cov = acc(crossIndex(c, i, k)) - acc(i) * acc(k) / n
+          val vi = acc(c + i) - acc(i) * acc(i) / n
+          val vk = acc(c + k) - acc(k) * acc(k) / n
           out(i)(k) = if (vi <= 1e-12 || vk <= 1e-12) 0.0 else cov / math.sqrt(vi * vk)
         }
         k += 1

@@ -53,11 +53,6 @@ final case class FeaturePlan(generated: Seq[GenFeature], keep: Seq[String]) {
 
   def width: Int = keep.length
 
-  private val genNames: Set[String] = generated.map(_.name).toSet
-
-  /** Original (non-generated) columns among the outputs. */
-  def baseKeep: Seq[String] = keep.filterNot(genNames)
-
   /** Derived features that are actually needed to produce `keep` — the kept
     * generated features plus their transitive generated inputs, in order.
     */
@@ -108,7 +103,4 @@ final case class FeaturePlan(generated: Seq[GenFeature], keep: Seq[String]) {
     val defs = neededGenerated.map(_.describe)
     defs ++ Seq(s"output = [${keep.mkString(", ")}]")
   }
-
-  /** Stable feature identities for the Table VI stability experiment. */
-  def featureIds: Seq[String] = keep
 }

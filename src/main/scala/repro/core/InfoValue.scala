@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.rdd.RDD
 import repro.ml.{Binning, LocalMatrix, SparkRows}
 
 /** Information Value filter — Algorithm 3 and Table I of the paper.
@@ -44,38 +44,40 @@ object InfoValue {
     names.map(n => n -> iv(m.column(n), m.y, beta)).toMap
   }
 
-  /** Distributed IV under per-name `edges` (`Binning.fitLocal` at β bins;
-    * with `ivAllLocal`'s edges the values are its values): one
-    * `treeAggregate` pass accumulating per-(feature, bin, class) counts.
+  /** Distributed IV over row blocks whose columns are `names`, in order,
+    * under per-name `edges` (`Binning.fitLocal` at β bins; with
+    * `ivAllLocal`'s edges the values are its values): one `treeAggregate`
+    * pass adding each block's per-column `Binning.classCounts`.
     */
-  def ivAllSpark(df: DataFrame, names: Seq[String], edges: Array[Array[Double]],
-                 labelCol: String = "label"): Map[String, Double] = {
+  def ivAllSpark(blocks: RDD[LocalMatrix], names: Seq[String],
+                 edges: Array[Array[Double]]): Map[String, Double] = {
     if (names.isEmpty) return Map.empty
-    val featNames = names.toArray
-    val casted = SparkRows.doubles(df, featNames :+ labelCol)
-    val binCounts = Binning.binCounts(edges)
-    val offsets = binCounts.scanLeft(0)(_ + _)
+    val offsets = Binning.binCounts(edges).scanLeft(0)(_ + _)
     val total = offsets.last
-    val m = featNames.length
-    val bcEdges = df.sparkSession.sparkContext.broadcast(edges)
+    val bcEdges = blocks.sparkContext.broadcast(edges)
     // layout: [0, total) positives, [total, 2*total) negatives
-    val flat = try casted.rdd.treeAggregate(new Array[Double](2 * total))(
-      seqOp = { (acc, r) =>
+    val flat = try blocks.treeAggregate(new Array[Double](2 * total))(
+      seqOp = { (acc, b) =>
         val e = bcEdges.value
-        val off = if (SparkRows.label(r, m) > 0.5) 0 else total
         var j = 0
-        while (j < m) {
-          acc(off + offsets(j) + Binning.binOf(SparkRows.feature(r, j), e(j))) += 1.0
+        while (j < b.cols) {
+          val (pos, neg) = Binning.classCounts(b.column(j), b.y, e(j))
+          var k = 0
+          while (k < pos.length) {
+            acc(offsets(j) + k) += pos(k)
+            acc(total + offsets(j) + k) += neg(k)
+            k += 1
+          }
           j += 1
         }
         acc
       },
       combOp = SparkRows.sumInto)
     finally bcEdges.destroy()
-    featNames.indices.map { j =>
+    names.indices.map { j =>
       val pos = java.util.Arrays.copyOfRange(flat, offsets(j), offsets(j + 1))
       val neg = java.util.Arrays.copyOfRange(flat, total + offsets(j), total + offsets(j + 1))
-      featNames(j) -> fromCounts(pos, neg)
+      names(j) -> fromCounts(pos, neg)
     }.toMap
   }
 

@@ -1,8 +1,8 @@
 package repro.core
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
-import repro.ml.{Binning, Gbdt, GbdtModel, GbdtParams, LocalMatrix}
+import repro.ml.{Binning, Gbdt, GbdtModel, GbdtParams, LocalMatrix, SparkRows}
 import repro.core.Operators.{BinaryOp, UnaryOp}
 import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
@@ -46,8 +46,9 @@ final case class SafeResult(plan: FeaturePlan, reports: Seq[IterationReport]) {
 /** The SAFE pipeline (Algorithm 1), written once over a statistics engine:
   * `LocalEngine` keeps a column-major `LocalMatrix` on the driver
   * (benchmark-grid fast path), `SparkEngine` keeps rows distributed
-  * (business-scale path). Both are lazy: added features are recorded and
-  * evaluated only where a statistic reads them. Both bin with
+  * (business-scale path) and runs the same kernels on row blocks. Both are
+  * lazy: added features are recorded and evaluated, by
+  * `FeaturePlan.applyLocal`, only where a statistic reads them. Both bin with
   * `Binning.fitLocal`, the Spark engine on its driver-side sample, so for
   * N ≤ `igSampleCap` `fitSpark`'s plan equals `fitLocal`'s (generated
   * features and keep order) unless a split gain, importance or |ρ| ties
@@ -68,15 +69,16 @@ object Safe {
     def corrMatrix(names: Seq[String]): Array[Array[Double]]
   }
 
-  /** Driver-side engine. Like `SparkEngine`'s projection it is lazy:
-    * `addGenerated` only records the features, and every statistic
-    * evaluates the generated columns it reads from the original matrix,
-    * through Ψ's one-pass evaluator (`FeaturePlan.applyLocal`).
+  /** Driver-side engine. It is lazy: `addGenerated` only records the
+    * features, and every statistic evaluates the generated columns it reads
+    * from the original matrix, through Ψ's one-pass evaluator
+    * (`FeaturePlan.applyLocal`).
     */
   final class LocalEngine(initial: LocalMatrix, sampleCap: Int, seed: Long) extends Engine {
     private val generated = ArrayBuffer.empty[GenFeature]
-    private[core] def matrix(names: Seq[String]): LocalMatrix =
-      FeaturePlan(generated.toSeq, names).applyLocal(initial)
+    /** Ψ from the original columns to `names`. */
+    private[core] def plan(names: Seq[String]): FeaturePlan = FeaturePlan(generated.toSeq, names)
+    private[core] def matrix(names: Seq[String]): LocalMatrix = plan(names).applyLocal(initial)
     /** The original columns followed by every generated one. */
     def current: LocalMatrix = matrix(originalNames ++ generated.map(_.name))
     def originalNames: Seq[String] = initial.names.toSeq
@@ -98,36 +100,38 @@ object Safe {
       Correlation.matrixLocal(matrix(names), names)
   }
 
-  /** Distributed engine: Spark jobs only count (GBDT histograms, IV bins,
-    * Pearson sums). Bin edges and the scoring matrix come from a `LocalEngine`
-    * over one driver-side sample of the original columns, collected on first
-    * use: the whole frame when N ≤ `sampleCap`, else a seeded `sample(cap / N)`.
+  /** Distributed engine over the original frame and a `LocalEngine` on one
+    * driver-side sample of it, collected on first use: the whole frame when
+    * N ≤ `sampleCap`, else a seeded `sample(cap / N)`. The sample engine
+    * records the generated features and yields every bin edge and the scoring
+    * matrix. Spark jobs only count (GBDT histograms, IV bins, Pearson sums):
+    * each decodes the frame into row blocks (`SparkRows.blocks`), evaluates
+    * the generated columns on every block with the sample engine's Ψ
+    * (`FeaturePlan.applyLocal`), and runs the local kernels on the block.
     */
   final class SparkEngine(df: DataFrame, labelCol: String, sampleCap: Int, seed: Long) extends Engine {
-    private var fullDf: DataFrame = df
     private lazy val sample: LocalEngine = {
       val n = df.count()
       val rows = if (n <= sampleCap) df else df.sample(withReplacement = false, sampleCap.toDouble / n, seed)
       new LocalEngine(LocalMatrix.fromDF(rows, labelCol), sampleCap, seed)
     }
+    /** The frame's row blocks over `names`, evaluated as `sample` evaluates them. */
+    private def blocks(names: Seq[String]): RDD[LocalMatrix] = {
+      val plan = sample.plan(names)
+      SparkRows.blocks(df, labelCol).map(plan.applyLocal)
+    }
     var gbdtParams: GbdtParams = GbdtParams()
     def originalNames: Seq[String] = df.columns.filter(_ != labelCol).toSeq
-    def existingNames: Set[String] = fullDf.columns.filterNot(_ == labelCol).toSet
+    def existingNames: Set[String] = sample.existingNames
     def trainGbdt(names: Seq[String]): GbdtModel =
-      Gbdt.fitDF(fullDf.select((names :+ labelCol).map(col): _*),
-        Binning.fitLocal(sample.matrix(names), gbdtParams.maxBins), labelCol, gbdtParams)
-    def addGenerated(gs: Seq[GenFeature]): Unit = {
-      // single projection (withColumn-in-a-loop is quadratic in plan size);
-      // batch members never reference each other — inputs predate the batch
-      if (gs.nonEmpty)
-        fullDf = fullDf.select(col("*") +: gs.map(g => g.column(fullDf(_)).as(g.name)): _*)
-      sample.addGenerated(gs)
-    }
+      Gbdt.fitDF(blocks(names), names.toArray,
+        Binning.fitLocal(sample.matrix(names), gbdtParams.maxBins), gbdtParams)
+    def addGenerated(gs: Seq[GenFeature]): Unit = sample.addGenerated(gs)
     def scoringMatrix(names: Seq[String]): LocalMatrix = sample.matrix(names)
     def ivAll(names: Seq[String], beta: Int): Map[String, Double] =
-      InfoValue.ivAllSpark(fullDf, names, Binning.fitLocal(sample.matrix(names), beta), labelCol)
+      InfoValue.ivAllSpark(blocks(names), names, Binning.fitLocal(sample.matrix(names), beta))
     def corrMatrix(names: Seq[String]): Array[Array[Double]] =
-      Correlation.matrixSpark(fullDf, names)
+      Correlation.matrixSpark(blocks(names), names)
   }
 
   /** SAFE on driver-side data (the paper's benchmark-machine setting). */

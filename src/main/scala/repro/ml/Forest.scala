@@ -43,7 +43,7 @@ object Forest {
       maxBins = params.maxBins, featureSubset = Some(mtry),
       randomThresholds = params.randomThresholds)
     val rng = new Random(seed)
-    val trees = Array.tabulate(params.numTrees) { t =>
+    val trees = Array.fill(params.numTrees) {
       val treeSeed = rng.nextLong()
       if (params.bootstrap) {
         val bootRng = new Random(treeSeed)
@@ -82,7 +82,7 @@ object AdaBoost {
     val edges = Binning.fitLocal(m, params.maxBins)
     val bins = Binning.applyLocal(m, edges)
     val cartParams = CartParams(maxDepth = params.stumpDepth, maxBins = params.maxBins)
-    var w = Array.fill(n)(1.0 / n)
+    val w = Array.fill(n)(1.0 / n)
     val stumps = scala.collection.mutable.ArrayBuffer.empty[(CartModel, Double)]
     var r = 0
     var stop = false

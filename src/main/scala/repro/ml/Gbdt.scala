@@ -1,6 +1,6 @@
 package repro.ml
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.rdd.RDD
 import scala.collection.mutable.ArrayBuffer
 
 /** XGBoost-lite hyper-parameters (paper defaults, §IV-D/§VI of DESIGN.md). */
@@ -99,24 +99,18 @@ object Gbdt {
     train(new LocalHist(bins, m.y), edges, m.names, params)
   }
 
-  /** Train on a DataFrame with distributed histogram aggregation under
-    * per-feature `edges` (`Binning.fitLocal` at `params.maxBins`; with `fit`'s
-    * edges the trees are `fit`'s up to merge-order rounding).
+  /** Train with distributed histogram aggregation on row blocks whose
+    * columns are `names`, in order, under per-feature `edges`
+    * (`Binning.fitLocal` at `params.maxBins`; with `fit`'s edges the trees
+    * are `fit`'s up to merge-order rounding). Each block is binned with
+    * `Binning.applyLocal`, and its binned rows are cached for the passes.
     */
-  def fitDF(df: DataFrame, edges: Array[Array[Double]], labelCol: String = "label",
+  def fitDF(blocks: RDD[LocalMatrix], names: Array[String], edges: Array[Array[Double]],
             params: GbdtParams = GbdtParams()): GbdtModel = {
-    val featNames = df.columns.filter(_ != labelCol)
-    val casted = SparkRows.doubles(df, featNames :+ labelCol)
-    val m = featNames.length
-    val bc = casted.sparkSession.sparkContext.broadcast(edges)
-    val rdd = casted.rdd.map { r =>
-      val e = bc.value
-      val b = new Array[Byte](m)
-      var j = 0
-      while (j < m) { b(j) = Binning.binOf(SparkRows.feature(r, j), e(j)).toByte; j += 1 }
-      (b, SparkRows.label(r, m))
-    }.persist(org.apache.spark.storage.StorageLevel.MEMORY_AND_DISK)
-    try train(new SparkHist(rdd), edges, featNames, params)
+    val bc = blocks.sparkContext.broadcast(edges)
+    val rdd = blocks.flatMap(b => Binning.applyLocal(b, bc.value).iterator.zip(b.y.iterator))
+      .persist(org.apache.spark.storage.StorageLevel.MEMORY_AND_DISK)
+    try train(new SparkHist(rdd), edges, names, params)
     finally { rdd.unpersist(blocking = false); bc.destroy() }
   }
 

@@ -5,9 +5,10 @@ import org.apache.spark.sql.types.{DoubleType, StructField, StructType}
 
 /** A named dense feature matrix with a binary label vector.
   *
-  * This is the bridge between the Spark world (where SAFE's generation runs
-  * as Catalyst expressions) and the local classifier substrate (which plays
-  * the role of scikit-learn in the paper's evaluation).
+  * It is the one data type of every SAFE kernel: the local engine's whole
+  * matrix, the Spark engine's row blocks (`SparkRows.blocks`), and the input
+  * of the local classifier substrate (which plays the role of scikit-learn
+  * in the paper's evaluation).
   *
   * Storage is column-major, the layout binning, IV, Pearson, gain ratio and
   * the operators read: one array per feature. Columns are shared, never
@@ -99,24 +100,9 @@ object LocalMatrix {
   }
 
   /** Collect a DataFrame into a LocalMatrix. `labelCol` must be 0/1-valued;
-    * all other columns are cast to double. Non-finite values are zeroed
-    * (mirrors the generation-side guard).
+    * all other columns are cast to double. Decoded as `SparkRows.blocks`
+    * decodes: null and non-finite feature values read as 0.
     */
-  def fromDF(df: DataFrame, labelCol: String = "label"): LocalMatrix = {
-    val featNames = df.columns.filter(_ != labelCol)
-    require(featNames.length == df.columns.length - 1, s"label column '$labelCol' not found")
-    val collected = SparkRows.doubles(df, featNames :+ labelCol).collect()
-    val m = featNames.length
-    val columns = Array.fill(m)(new Array[Double](collected.length))
-    val y = new Array[Double](collected.length)
-    var i = 0
-    while (i < collected.length) {
-      val r = collected(i)
-      var j = 0
-      while (j < m) { columns(j)(i) = SparkRows.feature(r, j); j += 1 }
-      y(i) = SparkRows.label(r, m)
-      i += 1
-    }
-    new LocalMatrix(featNames, columns, y)
-  }
+  def fromDF(df: DataFrame, labelCol: String = "label"): LocalMatrix =
+    SparkRows.decode(SparkRows.featureNames(df, labelCol), SparkRows.doubles(df, labelCol).collect())
 }

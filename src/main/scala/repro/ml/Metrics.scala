@@ -75,30 +75,15 @@ object Metrics {
     binaryEntropy(nPos, nNeg) - hCond
   }
 
-  /** Kullback–Leibler divergence KLD(P || Q) in nats; P(i)=0 terms vanish. */
-  def kld(p: Array[Double], q: Array[Double]): Double = {
-    require(p.length == q.length, "distribution length mismatch")
-    var d = 0.0
-    var i = 0
-    while (i < p.length) {
-      if (p(i) > 0) {
-        require(q(i) > 0, s"KLD undefined: q($i)=0 where p($i)>0")
-        d += p(i) * math.log(p(i) / q(i))
-      }
-      i += 1
-    }
-    d
-  }
-
   /** Jensen–Shannon divergence (Eq. 14 in the paper): symmetric, finite. */
   def jsd(p: Array[Double], q: Array[Double]): Double = {
     require(p.length == q.length, "distribution length mismatch")
     val r = Array.tabulate(p.length)(i => (p(i) + q(i)) / 2.0)
-    0.5 * (kldSafe(p, r) + kldSafe(q, r))
+    0.5 * (kld(p, r) + kld(q, r))
   }
 
-  // KLD variant for JSD: r(i)=0 implies p(i)=0, so the 0-guard is sound.
-  private def kldSafe(p: Array[Double], r: Array[Double]): Double = {
+  // KLD(P || R) for JSD: r(i)=0 implies p(i)=0, so the 0-guard is sound.
+  private def kld(p: Array[Double], r: Array[Double]): Double = {
     var d = 0.0
     var i = 0
     while (i < p.length) {

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.{Oracle, SparkSpec}
-import repro.ml.LocalMatrix
+import repro.ml.{LocalMatrix, SparkRows}
 import scala.util.Random
 
 class CorrelationSpec extends SparkSpec {
@@ -47,7 +47,7 @@ class CorrelationSpec extends SparkSpec {
   test("matrixSpark agrees with matrixLocal to double precision") {
     val names = Seq("a", "b", "c", "d")
     val local = Correlation.matrixLocal(mat, names)
-    val dist = Correlation.matrixSpark(mat.toDF(spark), names)
+    val dist = Correlation.matrixSpark(SparkRows.blocks(mat.toDF(spark)), names)
     for (i <- names.indices; j <- names.indices)
       assert(math.abs(local(i)(j) - dist(i)(j)) < 1e-9, s"($i,$j)")
   }

@@ -24,7 +24,6 @@ class FeaturePlanSpec extends SparkSpec {
   test("neededGenerated keeps transitive dependencies, prunes unused") {
     val plan = FeaturePlan(Seq(g1, g3, g2), keep = Seq("x0", g2.name))
     assert(plan.neededGenerated.map(_.name) == Seq(g1.name, g2.name))
-    assert(plan.baseKeep == Seq("x0"))
   }
 
   test("applyLocal computes chained features correctly") {
@@ -112,11 +111,6 @@ class FeaturePlanSpec extends SparkSpec {
     val d = plan.describe
     assert(d.exists(_.contains("mul__x0__x1 =")))
     assert(d.last.startsWith("output = ["))
-  }
-
-  test("featureIds equals keep (stability identity)") {
-    val plan = FeaturePlan(Seq(g1), keep = Seq("x0", g1.name))
-    assert(plan.featureIds == Seq("x0", g1.name))
   }
 
   test("duplicate keep names are rejected") {

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.{SparkSpec, TestData}
-import repro.ml.{Binning, LocalMatrix}
+import repro.ml.{Binning, SparkRows}
 import scala.util.Random
 
 class InfoValueSpec extends SparkSpec {
@@ -54,13 +54,13 @@ class InfoValueSpec extends SparkSpec {
   test("ivAllSpark agrees with ivAllLocal") {
     val m = TestData.linear(1500, 4, seed = 3)
     val local = InfoValue.ivAllLocal(m, m.names.toSeq)
-    val sparkIvs = InfoValue.ivAllSpark(m.toDF(spark), m.names.toSeq, Binning.fitLocal(m, 10))
+    val sparkIvs = InfoValue.ivAllSpark(SparkRows.blocks(m.toDF(spark)), m.names.toSeq, Binning.fitLocal(m, 10))
     assert(sparkIvs == local)
   }
 
   test("ivAllSpark on empty name list returns empty") {
     val m = TestData.linear(50, 2, seed = 4)
-    assert(InfoValue.ivAllSpark(m.toDF(spark), Nil, Array.empty).isEmpty)
+    assert(InfoValue.ivAllSpark(SparkRows.blocks(m.toDF(spark).select("label")), Nil, Array.empty).isEmpty)
   }
 
   test("filter keeps only features above alpha, sorted by IV") {

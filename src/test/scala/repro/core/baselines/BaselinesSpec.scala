@@ -2,8 +2,8 @@ package repro.core.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestData
-import repro.core.{FeaturePlan, InfoValue}
-import repro.ml.{Gbdt, GbdtParams, Linear, Metrics}
+import repro.core.{FeaturePlan, ImportantCombos, InfoValue, RandomCombos, Safe}
+import repro.ml.{GbdtParams, Linear, Metrics}
 
 class TfcSpec extends AnyFunSuite {
 
@@ -103,8 +103,8 @@ class RandImpSpec extends AnyFunSuite {
   private val cfg = repro.core.SafeConfig(gbdt = GbdtParams(numTrees = 10))
 
   test("RAND and IMP both produce plans within the cap") {
-    assert(RandImp.fitRandLocal(train, cfg).plan.width <= 16)
-    assert(RandImp.fitImpLocal(train, cfg).plan.width <= 16)
+    assert(Safe.fitLocal(train, cfg, RandomCombos).plan.width <= 16)
+    assert(Safe.fitLocal(train, cfg, ImportantCombos).plan.width <= 16)
   }
 
   test("assumption check (paper §IV-B1): SAFE >= IMP >= RAND on average AUC") {
@@ -115,16 +115,16 @@ class RandImpSpec extends AnyFunSuite {
       val tr = plan.applyLocal(train); val te = plan.applyLocal(test)
       Metrics.auc(te.y, Linear.fitLogistic(tr).predictProba(te))
     }.sum / seeds.size
-    val rand = meanAuc(s => RandImp.fitRandLocal(train, cfg.copy(seed = s)).plan)
-    val imp = meanAuc(s => RandImp.fitImpLocal(train, cfg.copy(seed = s)).plan)
-    val safe = meanAuc(s => repro.core.Safe.fitLocal(train, cfg.copy(seed = s)).plan)
+    val rand = meanAuc(s => Safe.fitLocal(train, cfg.copy(seed = s), RandomCombos).plan)
+    val imp = meanAuc(s => Safe.fitLocal(train, cfg.copy(seed = s), ImportantCombos).plan)
+    val safe = meanAuc(s => Safe.fitLocal(train, cfg.copy(seed = s)).plan)
     // SAFE should not lose to the random ablations (small slack for noise)
     assert(safe >= rand - 0.02, s"safe=$safe rand=$rand")
     assert(safe >= imp - 0.02, s"safe=$safe imp=$imp")
   }
 
   test("RAND selection still enforces the IV threshold") {
-    val res = RandImp.fitRandLocal(train, cfg)
+    val res = Safe.fitLocal(train, cfg, RandomCombos)
     val out = res.plan.applyLocal(train)
     val ivs = InfoValue.ivAllLocal(out, out.names.toSeq)
     assert(ivs.values.max > 0.0)
@@ -132,7 +132,7 @@ class RandImpSpec extends AnyFunSuite {
 
   test("IMP falls back gracefully when few split features exist") {
     val tiny = TestData.noise(60, 2, seed = 66)
-    val res = RandImp.fitImpLocal(tiny, cfg)
+    val res = Safe.fitLocal(tiny, cfg, ImportantCombos)
     assert(res.plan.keep.nonEmpty)
   }
 }

@@ -172,7 +172,7 @@ class GbdtSpec extends SparkSpec {
     val test = TestData.xor(300, seed = 10)
     val params = GbdtParams(numTrees = 15, maxBins = 16)
     val local = Gbdt.fit(train, params)
-    val dist = Gbdt.fitDF(train.toDF(spark), Binning.fitLocal(train, params.maxBins), "label", params)
+    val dist = Gbdt.fitDF(SparkRows.blocks(train.toDF(spark)), train.names, Binning.fitLocal(train, params.maxBins), params)
     val aucLocal = Metrics.auc(test.y, local.predictProba(test))
     val aucDist = Metrics.auc(test.y, dist.predictProba(test))
     assert(aucDist > 0.85, s"distributed auc=$aucDist")

@@ -73,15 +73,6 @@ class MetricsSpec extends AnyFunSuite {
     assert(Metrics.binaryEntropy(3, 7) == Metrics.binaryEntropy(7, 3))
   }
 
-  test("kld of identical distributions is 0") {
-    val p = Array(0.2, 0.3, 0.5)
-    assert(math.abs(Metrics.kld(p, p)) < 1e-12)
-  }
-
-  test("kld is positive for distinct distributions") {
-    assert(Metrics.kld(Array(0.9, 0.1), Array(0.5, 0.5)) > 0)
-  }
-
   test("jsd is symmetric and zero on identical inputs") {
     val p = Array(0.1, 0.4, 0.5)
     val q = Array(0.3, 0.3, 0.4)
