@@ -1,7 +1,6 @@
 package repro.core
 
-import org.apache.spark.rdd.RDD
-import repro.ml.{LocalMatrix, SparkRows}
+import repro.ml.Rows
 
 /** Pearson redundancy removal — Algorithm 4 and Table II of the paper.
   *
@@ -16,23 +15,13 @@ object Correlation {
   /** Table II rule of thumb: |ρ| > 0.8 = "extremely strong correlation". */
   val DefaultTheta = 0.8
 
-  /** Full Pearson matrix of the named columns of a local matrix (Eq. 7). */
-  def matrixLocal(m: LocalMatrix, names: Seq[String]): Array[Array[Double]] = {
-    val acc = new Array[Double](sumsLength(names.length))
-    addSums(acc, names.map(m.column).toArray, m.rows)
-    fromSums(acc, names.length)
-  }
-
-  /** Distributed Pearson matrix over row blocks whose columns are `names`, in
-    * order: one `treeAggregate` pass adding each block's sums with `addSums`.
+  /** Pearson matrix (Eq. 7) of the named columns of `rows`: one pass adding
+    * each matrix's sums with `addSums`.
     */
-  def matrixSpark(blocks: RDD[LocalMatrix], names: Seq[String]): Array[Array[Double]] = {
-    val c = names.length
-    if (c == 0) return Array.empty
-    val acc = blocks.treeAggregate(new Array[Double](sumsLength(c)))(
-      seqOp = { (acc, b) => addSums(acc, Array.tabulate(c)(b.column), b.rows); acc },
-      combOp = SparkRows.sumInto)
-    fromSums(acc, c)
+  def matrix(rows: Rows, names: Seq[String]): Array[Array[Double]] = {
+    val cols = names.toArray
+    val sums = rows.sum(sumsLength(cols.length))((acc, b) => addSums(acc, cols.map(b.column), b.rows))
+    fromSums(sums, cols.length)
   }
 
   // Sums layout for c columns: [0,c) sums | [c,2c) squares |

@@ -67,13 +67,19 @@ final case class FeaturePlan(generated: Seq[GenFeature], keep: Seq[String]) {
   }
 
   /** Apply Ψ to a DataFrame of original feature columns (a label column, if
-    * named and present, is passed through). Pure Catalyst, one `select` in
-    * which chained features nest — works on a 1-row frame for real-time
-    * inference.
+    * named and present, is passed through). Pure Catalyst — works on a 1-row
+    * frame for real-time inference: one `select` reads each input column the
+    * plan uses as the fit reads it (`Operators.input`; its own projection, as
+    * the operators read an input up to four times), then one `select` in
+    * which chained features nest. It gives `applyLocal(LocalMatrix.fromDF(df))`.
     */
   def transform(df: DataFrame, labelCol: Option[String] = Some("label")): DataFrame = {
-    val cols = evaluate(df.columns.toSeq.map(n => n -> df(n)))(_.column(_))
-    df.select(keep.map(n => cols(n).as(n)) ++ labelCol.filter(df.columns.contains).map(df(_)): _*)
+    val present = df.columns.toSet
+    val label = labelCol.filter(present)
+    val read = (keep ++ neededGenerated.flatMap(_.inputs)).distinct.filter(present)
+    val in = df.select(read.map(n => Operators.input(df(n)).as(n)) ++ label.map(df(_)): _*)
+    val cols = evaluate(in.columns.toSeq.map(n => n -> in(n)))(_.column(_))
+    in.select(keep.map(n => cols(n).as(n)) ++ label.map(in(_)): _*)
   }
 
   /** Apply Ψ to a local matrix of original features. Kept original columns

@@ -1,7 +1,6 @@
 package repro.core
 
-import org.apache.spark.rdd.RDD
-import repro.ml.{Binning, LocalMatrix, SparkRows}
+import repro.ml.{Binning, Rows}
 
 /** Information Value filter — Algorithm 3 and Table I of the paper.
   *
@@ -39,41 +38,29 @@ object InfoValue {
     ivSum
   }
 
-  /** IV for every listed column of a local matrix. */
-  def ivAllLocal(m: LocalMatrix, names: Seq[String], beta: Int = DefaultBins): Map[String, Double] = {
-    names.map(n => n -> iv(m.column(n), m.y, beta)).toMap
-  }
-
-  /** Distributed IV over row blocks whose columns are `names`, in order,
-    * under per-name `edges` (`Binning.fitLocal` at β bins; with
-    * `ivAllLocal`'s edges the values are its values): one `treeAggregate`
-    * pass adding each block's per-column `Binning.classCounts`.
+  /** IV of each of `names` over `rows` under per-name `edges`
+    * (`Binning.fitLocal` at β bins; with each column's own edges the values
+    * are `iv`'s): one pass adding each matrix's per-column
+    * `Binning.classCounts`.
     */
-  def ivAllSpark(blocks: RDD[LocalMatrix], names: Seq[String],
-                 edges: Array[Array[Double]]): Map[String, Double] = {
-    if (names.isEmpty) return Map.empty
+  def ivAll(rows: Rows, names: Seq[String], edges: Array[Array[Double]]): Map[String, Double] = {
+    val cols = names.toArray
     val offsets = Binning.binCounts(edges).scanLeft(0)(_ + _)
     val total = offsets.last
-    val bcEdges = blocks.sparkContext.broadcast(edges)
     // layout: [0, total) positives, [total, 2*total) negatives
-    val flat = try blocks.treeAggregate(new Array[Double](2 * total))(
-      seqOp = { (acc, b) =>
-        val e = bcEdges.value
-        var j = 0
-        while (j < b.cols) {
-          val (pos, neg) = Binning.classCounts(b.column(j), b.y, e(j))
-          var k = 0
-          while (k < pos.length) {
-            acc(offsets(j) + k) += pos(k)
-            acc(total + offsets(j) + k) += neg(k)
-            k += 1
-          }
-          j += 1
+    val flat = rows.sum(2 * total) { (acc, b) =>
+      var j = 0
+      while (j < cols.length) {
+        val (pos, neg) = Binning.classCounts(b.column(cols(j)), b.y, edges(j))
+        var k = 0
+        while (k < pos.length) {
+          acc(offsets(j) + k) += pos(k)
+          acc(total + offsets(j) + k) += neg(k)
+          k += 1
         }
-        acc
-      },
-      combOp = SparkRows.sumInto)
-    finally bcEdges.destroy()
+        j += 1
+      }
+    }
     names.indices.map { j =>
       val pos = java.util.Arrays.copyOfRange(flat, offsets(j), offsets(j + 1))
       val neg = java.util.Arrays.copyOfRange(flat, total + offsets(j), total + offsets(j + 1))

@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.Column
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.DoubleType
 
 /** Operator registry (§III of the paper).
   *
@@ -33,13 +34,17 @@ object Operators {
 
   trait BinaryOp extends Op {
     final val arity = 2
-    def commutative: Boolean
     def column(a: Column, b: Column): Column
     def local(a: Array[Double], b: Array[Double]): Array[Double]
     def sql(a: String, b: String): String
   }
 
   private def finite(v: Double): Double = if (java.lang.Double.isFinite(v)) v else 0.0
+
+  /** A raw input cell as `SparkRows.decode` reads it: a null, NaN (Spark
+    * orders it above every number) or ±Inf fails |v| < ∞ and reads as 0. */
+  def input(c: Column): Column =
+    when(abs(c.cast(DoubleType)) < Double.PositiveInfinity, c.cast(DoubleType)).otherwise(lit(0.0))
 
   private def guardCol(c: Column): Column =
     when(isnan(c) || c === Double.PositiveInfinity || c === Double.NegativeInfinity, lit(0.0))
@@ -48,7 +53,7 @@ object Operators {
   // ---- the four basic arithmetic operators used in the paper's experiments
 
   case object Add extends BinaryOp {
-    val name = "add"; val commutative = true
+    val name = "add"
     def column(a: Column, b: Column): Column = guardCol(a + b)
     def local(a: Array[Double], b: Array[Double]): Array[Double] =
       Array.tabulate(a.length)(i => finite(a(i) + b(i)))
@@ -56,7 +61,7 @@ object Operators {
   }
 
   case object Sub extends BinaryOp {
-    val name = "sub"; val commutative = false
+    val name = "sub"
     def column(a: Column, b: Column): Column = guardCol(a - b)
     def local(a: Array[Double], b: Array[Double]): Array[Double] =
       Array.tabulate(a.length)(i => finite(a(i) - b(i)))
@@ -64,7 +69,7 @@ object Operators {
   }
 
   case object Mul extends BinaryOp {
-    val name = "mul"; val commutative = true
+    val name = "mul"
     def column(a: Column, b: Column): Column = guardCol(a * b)
     def local(a: Array[Double], b: Array[Double]): Array[Double] =
       Array.tabulate(a.length)(i => finite(a(i) * b(i)))
@@ -72,7 +77,7 @@ object Operators {
   }
 
   case object Div extends BinaryOp {
-    val name = "div"; val commutative = false
+    val name = "div"
     def column(a: Column, b: Column): Column =
       guardCol(when(abs(b) < DivEps, lit(0.0)).otherwise(a / b))
     def local(a: Array[Double], b: Array[Double]): Array[Double] =
@@ -85,7 +90,7 @@ object Operators {
     * once per argument order.
     */
   case object Vid extends BinaryOp {
-    val name = "vid"; val commutative = false
+    val name = "vid"
     def column(a: Column, b: Column): Column = Div.column(b, a)
     def local(a: Array[Double], b: Array[Double]): Array[Double] = Div.local(b, a)
     def sql(a: String, b: String): String = Div.sql(b, a)

@@ -1,8 +1,7 @@
 package repro.core
 
-import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
-import repro.ml.{Binning, Gbdt, GbdtModel, GbdtParams, LocalMatrix, SparkRows}
+import repro.ml.{Binning, Gbdt, GbdtModel, GbdtParams, LocalMatrix, Rows, SparkRows}
 import repro.core.Operators.{BinaryOp, UnaryOp}
 import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
@@ -29,8 +28,8 @@ final case class SafeConfig(
     maxOutFactor: Double = 2.0,
     nIter: Int = 1,
     gbdt: GbdtParams = GbdtParams(),
-    /** rows sampled for gain-ratio scoring (a ranking heuristic); on Spark
-      * the same sample also yields every bin edge (GBDT and IV). */
+    /** rows sampled for gain-ratio scoring (a ranking heuristic); on both
+      * engines the same sample also yields every bin edge (GBDT and IV). */
     igSampleCap: Int = 100000,
     seed: Long = 0)
 
@@ -39,20 +38,16 @@ final case class IterationReport(
     iter: Int, combosMined: Int, generated: Int,
     candidates: Int, afterIv: Int, afterCorr: Int, selected: Int)
 
-final case class SafeResult(plan: FeaturePlan, reports: Seq[IterationReport]) {
-  def selectedNames: Seq[String] = plan.keep
-}
+final case class SafeResult(plan: FeaturePlan, reports: Seq[IterationReport])
 
-/** The SAFE pipeline (Algorithm 1), written once over a statistics engine:
-  * `LocalEngine` keeps a column-major `LocalMatrix` on the driver
-  * (benchmark-grid fast path), `SparkEngine` keeps rows distributed
-  * (business-scale path) and runs the same kernels on row blocks. Both are
-  * lazy: added features are recorded and evaluated, by
-  * `FeaturePlan.applyLocal`, only where a statistic reads them. Both bin with
-  * `Binning.fitLocal`, the Spark engine on its driver-side sample, so for
-  * N ≤ `igSampleCap` `fitSpark`'s plan equals `fitLocal`'s (generated
-  * features and keep order) unless a split gain, importance or |ρ| ties
-  * within merge-order rounding. For N > cap the kept sets overlap but may
+/** The SAFE pipeline (Algorithm 1), written once over a statistics engine
+  * with one implementation (`RowsEngine`): `LocalEngine` keeps a
+  * column-major `LocalMatrix` on the driver (benchmark-grid fast path),
+  * `SparkEngine` keeps rows distributed (business-scale path). For
+  * N ≤ `igSampleCap` both engines' samples are every row, so `fitSpark`'s
+  * plan equals `fitLocal`'s (generated features and keep order) unless a
+  * split gain, importance or |ρ| ties within merge-order rounding. For
+  * N > cap they draw different samples, so the kept sets overlap but may
   * differ (`SafeSpec` tests both).
   */
 object Safe {
@@ -69,86 +64,89 @@ object Safe {
     def corrMatrix(names: Seq[String]): Array[Array[Double]]
   }
 
-  /** Driver-side engine. It is lazy: `addGenerated` only records the
-    * features, and every statistic evaluates the generated columns it reads
-    * from the original matrix, through Ψ's one-pass evaluator
-    * (`FeaturePlan.applyLocal`).
+  /** The one implementation of `Engine`, over original columns
+    * `originalNames` whose rows live in `rows`. It is lazy: `addGenerated`
+    * only records the features, and every statistic evaluates the generated
+    * columns it reads through Ψ's one-pass evaluator (`FeaturePlan.applyLocal`).
+    * `drawSample`, a seeded sample of at most `igSampleCap` original rows
+    * drawn on first use, gives every bin edge and the scoring matrix.
     */
-  final class LocalEngine(initial: LocalMatrix, sampleCap: Int, seed: Long) extends Engine {
+  sealed abstract class RowsEngine(val originalNames: Seq[String], rows: Rows, drawSample: => LocalMatrix)
+      extends Engine {
     private val generated = ArrayBuffer.empty[GenFeature]
-    /** Ψ from the original columns to `names`. */
-    private[core] def plan(names: Seq[String]): FeaturePlan = FeaturePlan(generated.toSeq, names)
-    private[core] def matrix(names: Seq[String]): LocalMatrix = plan(names).applyLocal(initial)
-    /** The original columns followed by every generated one. */
-    def current: LocalMatrix = matrix(originalNames ++ generated.map(_.name))
-    def originalNames: Seq[String] = initial.names.toSeq
-    def existingNames: Set[String] = originalNames.toSet ++ generated.map(_.name)
+    private lazy val sample: LocalMatrix = drawSample
     var gbdtParams: GbdtParams = GbdtParams()
-    def trainGbdt(names: Seq[String]): GbdtModel = Gbdt.fit(matrix(names), gbdtParams)
-    def addGenerated(gs: Seq[GenFeature]): Unit = generated ++= gs
-    def scoringMatrix(names: Seq[String]): LocalMatrix = {
-      val sel = matrix(names)
-      if (sel.rows <= sampleCap) sel
-      else {
-        val rng = new Random(seed)
-        sel.takeRows(rng.shuffle((0 until sel.rows).toList).take(sampleCap).toArray)
+
+    /** Ψ from the original columns to `names`. */
+    protected def plan(names: Seq[String]): FeaturePlan = FeaturePlan(generated.toSeq, names)
+    /** The original columns followed by every generated one. */
+    protected def allNames: Seq[String] = originalNames ++ generated.map(_.name)
+
+    /** `names` over the rows and over the sample. When the sample is the
+      * driver matrix itself, one evaluation serves both.
+      */
+    private def evaluate(names: Seq[String]): (Rows, LocalMatrix) = {
+      val p = plan(names)
+      val s = p.applyLocal(sample)
+      rows match {
+        case Rows.Local(m) if m eq sample => (Rows.Local(s), s)
+        case _ => (rows.map(p.applyLocal), s)
       }
     }
-    def ivAll(names: Seq[String], beta: Int): Map[String, Double] =
-      InfoValue.ivAllLocal(matrix(names), names, beta)
+
+    def existingNames: Set[String] = allNames.toSet
+    def addGenerated(gs: Seq[GenFeature]): Unit = generated ++= gs
+    def scoringMatrix(names: Seq[String]): LocalMatrix = plan(names).applyLocal(sample)
+    def trainGbdt(names: Seq[String]): GbdtModel = {
+      val (r, s) = evaluate(names)
+      Gbdt.fit(r, names.toArray, Binning.fitLocal(s, gbdtParams.maxBins), gbdtParams)
+    }
+    def ivAll(names: Seq[String], beta: Int): Map[String, Double] = {
+      val (r, s) = evaluate(names)
+      InfoValue.ivAll(r, names, Binning.fitLocal(s, beta))
+    }
     def corrMatrix(names: Seq[String]): Array[Array[Double]] =
-      Correlation.matrixLocal(matrix(names), names)
+      Correlation.matrix(rows.map(plan(names).applyLocal), names)
   }
 
-  /** Distributed engine over the original frame and a `LocalEngine` on one
-    * driver-side sample of it, collected on first use: the whole frame when
-    * N ≤ `sampleCap`, else a seeded `sample(cap / N)`. The sample engine
-    * records the generated features and yields every bin edge and the scoring
-    * matrix. Spark jobs only count (GBDT histograms, IV bins, Pearson sums):
-    * each decodes the frame into row blocks (`SparkRows.blocks`), evaluates
-    * the generated columns on every block with the sample engine's Ψ
-    * (`FeaturePlan.applyLocal`), and runs the local kernels on the block.
+  /** Driver-side engine over `initial`. Its sample is `initial` itself when
+    * N ≤ `sampleCap`, else one seeded subset of `sampleCap` rows.
     */
-  final class SparkEngine(df: DataFrame, labelCol: String, sampleCap: Int, seed: Long) extends Engine {
-    private lazy val sample: LocalEngine = {
-      val n = df.count()
-      val rows = if (n <= sampleCap) df else df.sample(withReplacement = false, sampleCap.toDouble / n, seed)
-      new LocalEngine(LocalMatrix.fromDF(rows, labelCol), sampleCap, seed)
-    }
-    /** The frame's row blocks over `names`, evaluated as `sample` evaluates them. */
-    private def blocks(names: Seq[String]): RDD[LocalMatrix] = {
-      val plan = sample.plan(names)
-      SparkRows.blocks(df, labelCol).map(plan.applyLocal)
-    }
-    var gbdtParams: GbdtParams = GbdtParams()
-    def originalNames: Seq[String] = df.columns.filter(_ != labelCol).toSeq
-    def existingNames: Set[String] = sample.existingNames
-    def trainGbdt(names: Seq[String]): GbdtModel =
-      Gbdt.fitDF(blocks(names), names.toArray,
-        Binning.fitLocal(sample.matrix(names), gbdtParams.maxBins), gbdtParams)
-    def addGenerated(gs: Seq[GenFeature]): Unit = sample.addGenerated(gs)
-    def scoringMatrix(names: Seq[String]): LocalMatrix = sample.matrix(names)
-    def ivAll(names: Seq[String], beta: Int): Map[String, Double] =
-      InfoValue.ivAllSpark(blocks(names), names, Binning.fitLocal(sample.matrix(names), beta))
-    def corrMatrix(names: Seq[String]): Array[Array[Double]] =
-      Correlation.matrixSpark(blocks(names), names)
+  final class LocalEngine(initial: LocalMatrix, sampleCap: Int, seed: Long)
+      extends RowsEngine(initial.names.toSeq, Rows.Local(initial),
+        if (initial.rows <= sampleCap) initial
+        else initial.takeRows(new Random(seed).shuffle((0 until initial.rows).toList).take(sampleCap).toArray)) {
+    /** `allNames` over every row of `initial`. */
+    def current: LocalMatrix = plan(allNames).applyLocal(initial)
   }
+
+  /** Distributed engine over the original frame. Its statistics run the
+    * local kernels on the frame's row blocks (`SparkRows.blocks`) in Spark
+    * jobs that only count (GBDT histograms, IV bins, Pearson sums). Its
+    * sample is collected on first use: the whole frame when N ≤ `sampleCap`,
+    * else a seeded `sample(cap / N)`.
+    */
+  final class SparkEngine(df: DataFrame, labelCol: String, sampleCap: Int, seed: Long)
+      extends RowsEngine(SparkRows.featureNames(df, labelCol).toSeq, Rows.Blocks(SparkRows.blocks(df, labelCol)), {
+        val n = df.count()
+        val rows = if (n <= sampleCap) df else df.sample(withReplacement = false, sampleCap.toDouble / n, seed)
+        LocalMatrix.fromDF(rows, labelCol)
+      })
 
   /** SAFE on driver-side data (the paper's benchmark-machine setting). */
   def fitLocal(m: LocalMatrix, cfg: SafeConfig = SafeConfig(),
-               variant: ComboSource = MinedCombos): SafeResult = {
-    val engine = new LocalEngine(m, cfg.igSampleCap, cfg.seed)
-    engine.gbdtParams = cfg.gbdt
-    run(engine, cfg, variant)
-  }
+               variant: ComboSource = MinedCombos): SafeResult =
+    runOn(new LocalEngine(m, cfg.igSampleCap, cfg.seed), cfg, variant)
 
   /** SAFE with distributed statistics (business-scale setting). The input
     * DataFrame should be cached by the caller; it is scanned repeatedly.
     */
   def fitSpark(df: DataFrame, labelCol: String = "label",
                cfg: SafeConfig = SafeConfig(),
-               variant: ComboSource = MinedCombos): SafeResult = {
-    val engine = new SparkEngine(df, labelCol, cfg.igSampleCap, cfg.seed)
+               variant: ComboSource = MinedCombos): SafeResult =
+    runOn(new SparkEngine(df, labelCol, cfg.igSampleCap, cfg.seed), cfg, variant)
+
+  private def runOn(engine: RowsEngine, cfg: SafeConfig, variant: ComboSource): SafeResult = {
     engine.gbdtParams = cfg.gbdt
     run(engine, cfg, variant)
   }

@@ -40,6 +40,10 @@ object Binning {
     lo
   }
 
+  /** Bin codes of one raw row under per-column `edges`. */
+  def binRow(row: Array[Double], edges: Array[Array[Double]]): Array[Byte] =
+    Array.tabulate(edges.length)(j => binOf(row(j), edges(j)).toByte)
+
   /** Per-bin (pos, neg) label counts of `values` under `edges`. */
   def classCounts(values: Array[Double], labels: Array[Double],
                   edges: Array[Double]): (Array[Double], Array[Double]) =

@@ -16,12 +16,7 @@ final case class CartParams(
 
 /** A fitted CART; reuses the GBDT node encoding with leaf weight = P(y=1). */
 final case class CartModel(nodes: Array[Node], edges: Array[Array[Double]]) {
-  def predictProba(row: Array[Double]): Double = {
-    val b = new Array[Byte](edges.length)
-    var j = 0
-    while (j < edges.length) { b(j) = Binning.binOf(row(j), edges(j)).toByte; j += 1 }
-    TreeOps.predict(nodes, b)
-  }
+  def predictProba(row: Array[Double]): Double = TreeOps.predict(nodes, Binning.binRow(row, edges))
   def predictProba(m: LocalMatrix): Array[Double] = m.x.map(predictProba)
 }
 

@@ -1,6 +1,5 @@
 package repro.ml
 
-import org.apache.spark.rdd.RDD
 import scala.collection.mutable.ArrayBuffer
 
 /** XGBoost-lite hyper-parameters (paper defaults, §IV-D/§VI of DESIGN.md). */
@@ -29,19 +28,9 @@ final case class GbdtModel(
     names: Array[String],
     params: GbdtParams) {
 
-  def numFeatures: Int = names.length
-
-  /** Bin one raw row with the model's training-time edges. */
-  def binRow(row: Array[Double]): Array[Byte] = {
-    val b = new Array[Byte](edges.length)
-    var j = 0
-    while (j < edges.length) { b(j) = Binning.binOf(row(j), edges(j)).toByte; j += 1 }
-    b
-  }
-
-  def predictMargin(row: Array[Double]): Double = TreeOps.margin(trees, binRow(row))
-
-  def predictProba(row: Array[Double]): Double = Metrics.sigmoid(predictMargin(row))
+  /** P(y = 1) of one raw row, binned with the model's training-time edges. */
+  def predictProba(row: Array[Double]): Double =
+    Metrics.sigmoid(TreeOps.margin(trees, Binning.binRow(row, edges)))
 
   def predictProba(m: LocalMatrix): Array[Double] = m.x.map(predictProba)
 
@@ -92,27 +81,26 @@ final case class GbdtModel(
   */
 object Gbdt {
 
-  /** Train on a local matrix (driver-side histograms). */
-  def fit(m: LocalMatrix, params: GbdtParams = GbdtParams()): GbdtModel = {
-    val edges = Binning.fitLocal(m, params.maxBins)
-    val bins = Binning.applyLocal(m, edges)
-    train(new LocalHist(bins, m.y), edges, m.names, params)
-  }
+  /** Train on a local matrix under its own `Binning.fitLocal` edges. */
+  def fit(m: LocalMatrix, params: GbdtParams = GbdtParams()): GbdtModel =
+    fit(Rows.Local(m), m.names, Binning.fitLocal(m, params.maxBins), params)
 
-  /** Train with distributed histogram aggregation on row blocks whose
-    * columns are `names`, in order, under per-feature `edges`
-    * (`Binning.fitLocal` at `params.maxBins`; with `fit`'s edges the trees
-    * are `fit`'s up to merge-order rounding). Each block is binned with
-    * `Binning.applyLocal`, and its binned rows are cached for the passes.
+  /** Train on `rows` whose columns are `names`, in order, under per-feature
+    * `edges`. Driver rows are binned into a `LocalHist`. Spark blocks are
+    * binned with `Binning.applyLocal` inside their tasks, and the binned rows
+    * are cached for the `SparkHist` passes; under the same edges the trees
+    * are the driver's up to merge-order rounding.
     */
-  def fitDF(blocks: RDD[LocalMatrix], names: Array[String], edges: Array[Array[Double]],
-            params: GbdtParams = GbdtParams()): GbdtModel = {
-    val bc = blocks.sparkContext.broadcast(edges)
-    val rdd = blocks.flatMap(b => Binning.applyLocal(b, bc.value).iterator.zip(b.y.iterator))
-      .persist(org.apache.spark.storage.StorageLevel.MEMORY_AND_DISK)
-    try train(new SparkHist(rdd), edges, names, params)
-    finally { rdd.unpersist(blocking = false); bc.destroy() }
-  }
+  def fit(rows: Rows, names: Array[String], edges: Array[Array[Double]], params: GbdtParams): GbdtModel =
+    rows match {
+      case Rows.Local(m) =>
+        train(new LocalHist(Binning.applyLocal(m, edges), m.y), edges, names, params)
+      case Rows.Blocks(blocks) =>
+        val binned = blocks.flatMap(b => Binning.applyLocal(b, edges).iterator.zip(b.y.iterator))
+          .persist(org.apache.spark.storage.StorageLevel.MEMORY_AND_DISK)
+        try train(new SparkHist(binned), edges, names, params)
+        finally binned.unpersist(blocking = false)
+    }
 
   /** Core level-wise trainer over any backend. */
   def train(backend: HistBackend, edges: Array[Array[Double]],

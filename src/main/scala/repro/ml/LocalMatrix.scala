@@ -12,9 +12,9 @@ import org.apache.spark.sql.types.{DoubleType, StructField, StructType}
   *
   * Storage is column-major, the layout binning, IV, Pearson, gain ratio and
   * the operators read: one array per feature. Columns are shared, never
-  * copied, by `column`, `select`, `selectNames` and `withColumns`, so callers
-  * must treat them as read-only. `x` is a row-major copy built on first use
-  * for the row-reading classifiers.
+  * copied, by `column` and `selectNames`, so callers must treat them as
+  * read-only. `x` is a row-major copy built on first use for the row-reading
+  * classifiers.
   *
   * @param names   column name per feature, length M
   * @param columns M feature columns of `rows` values each (finite; generation
@@ -40,12 +40,6 @@ final class LocalMatrix(val names: Array[String], columns: Array[Array[Double]],
   /** Rows × M row-major copy, built once on first use. */
   lazy val x: Array[Array[Double]] = Array.tabulate(rows)(i => Array.tabulate(cols)(j => columns(j)(i)))
 
-  /** Projection onto a subset of columns (by index, order preserved). */
-  def select(idx: Seq[Int]): LocalMatrix = {
-    val ii = idx.toArray
-    new LocalMatrix(ii.map(names), ii.map(columns), y)
-  }
-
   /** Projection onto a subset of columns by name. */
   def selectNames(keep: Seq[String]): LocalMatrix =
     new LocalMatrix(keep.toArray, keep.map(column).toArray, y)
@@ -53,13 +47,6 @@ final class LocalMatrix(val names: Array[String], columns: Array[Array[Double]],
   /** Row subset (e.g. bootstrap sample). */
   def takeRows(idx: Array[Int]): LocalMatrix =
     new LocalMatrix(names, columns.map(c => idx.map(c)), idx.map(y))
-
-  /** Horizontal concatenation of `extra` columns; names must stay unique. */
-  def withColumns(extraNames: Array[String], extra: Array[Array[Double]]): LocalMatrix = {
-    val dup = (names ++ extraNames).groupBy(identity).collect { case (n, g) if g.length > 1 => n }
-    require(dup.isEmpty, s"duplicate columns: ${dup.take(3).mkString(",")}")
-    new LocalMatrix(names ++ extraNames, columns ++ extra, y)
-  }
 
   /** To a Spark DataFrame with a `label` column appended.
     *

@@ -18,7 +18,7 @@ object SparkRows {
   private val BlockRows = 4096
 
   /** `df`'s feature columns (every column but `labelCol`) in frame order. */
-  private[ml] def featureNames(df: DataFrame, labelCol: String): Array[String] = {
+  def featureNames(df: DataFrame, labelCol: String): Array[String] = {
     val names = df.columns.filter(_ != labelCol)
     require(names.length == df.columns.length - 1, s"label column '$labelCol' not found")
     names

@@ -2,6 +2,7 @@ package repro.core
 
 import repro.{Oracle, SparkSpec, TestData}
 import repro.core.Operators._
+import repro.ml.LocalMatrix
 
 class FeaturePlanSpec extends SparkSpec {
 
@@ -71,10 +72,24 @@ class FeaturePlanSpec extends SparkSpec {
   }
 
   test("applyLocal and transform reject a generated name that collides with an input column") {
-    val clash = mat.withColumns(Array(g1.name), Array(mat.column("x2")))
+    val clash = new LocalMatrix(mat.names :+ g1.name, Array.tabulate(mat.cols)(mat.column) :+ mat.column("x2"), mat.y)
     val plan = FeaturePlan(Seq(g1), keep = Seq("x0", g1.name))
     intercept[IllegalArgumentException](plan.applyLocal(clash))
     intercept[IllegalArgumentException](plan.transform(clash.toDF(spark)))
+  }
+
+  test("transform reads null, NaN and infinite inputs as 0, as applyLocal on fromDF does") {
+    import org.apache.spark.sql.Row
+    import org.apache.spark.sql.types.{DoubleType, StructField, StructType}
+    val schema = StructType(Seq("x0", "x1", "label").map(StructField(_, DoubleType)))
+    val rows = Seq(Row(Double.NaN, 2.0, 0.0), Row(null, 3.0, 1.0), Row(1.0, 4.0, 0.0),
+      Row(Double.NegativeInfinity, 5.0, 1.0))
+    val df = spark.createDataFrame(spark.sparkContext.parallelize(rows, 1), schema)
+    val plan = FeaturePlan(Seq(GenFeature(Add, Seq("x0", "x1"))), keep = Seq("x0", "add__x0__x1"))
+    val local = plan.applyLocal(LocalMatrix.fromDF(df))
+    assert(local.column("add__x0__x1").sameElements(Array(2.0, 3.0, 5.0, 5.0)))
+    val catalyst = plan.transform(df, labelCol = None).collect().map(r => Seq(r.get(0), r.get(1)))
+    assert(catalyst.toSeq == local.x.map(_.toSeq).toSeq)
   }
 
   test("transform works for real-time inference on a 1-row DataFrame") {

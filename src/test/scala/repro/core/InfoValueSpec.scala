@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.{SparkSpec, TestData}
-import repro.ml.{Binning, SparkRows}
+import repro.ml.{Binning, Rows, SparkRows}
 import scala.util.Random
 
 class InfoValueSpec extends SparkSpec {
@@ -46,21 +46,22 @@ class InfoValueSpec extends SparkSpec {
 
   test("ivAllLocal computes per-name values") {
     val m = TestData.linear(500, 3, seed = 2)
-    val ivs = InfoValue.ivAllLocal(m, Seq("x0", "x2"))
+    val ivs = InfoValue.ivAll(Rows.Local(m), Seq("x0", "x2"), Binning.fitLocal(m.selectNames(Seq("x0", "x2")), 10))
     assert(ivs.keySet == Set("x0", "x2"))
     ivs.values.foreach(v => assert(!v.isNaN))
   }
 
   test("ivAllSpark agrees with ivAllLocal") {
     val m = TestData.linear(1500, 4, seed = 3)
-    val local = InfoValue.ivAllLocal(m, m.names.toSeq)
-    val sparkIvs = InfoValue.ivAllSpark(SparkRows.blocks(m.toDF(spark)), m.names.toSeq, Binning.fitLocal(m, 10))
+    val edges = Binning.fitLocal(m, 10)
+    val local = InfoValue.ivAll(Rows.Local(m), m.names.toSeq, edges)
+    val sparkIvs = InfoValue.ivAll(Rows.Blocks(SparkRows.blocks(m.toDF(spark))), m.names.toSeq, edges)
     assert(sparkIvs == local)
   }
 
   test("ivAllSpark on empty name list returns empty") {
     val m = TestData.linear(50, 2, seed = 4)
-    assert(InfoValue.ivAllSpark(SparkRows.blocks(m.toDF(spark).select("label")), Nil, Array.empty).isEmpty)
+    assert(InfoValue.ivAll(Rows.Blocks(SparkRows.blocks(m.toDF(spark).select("label"))), Nil, Array.empty).isEmpty)
   }
 
   test("filter keeps only features above alpha, sorted by IV") {

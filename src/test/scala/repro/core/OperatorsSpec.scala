@@ -55,11 +55,6 @@ class OperatorsSpec extends SparkSpec {
     assert(Vid.local(a, b).sameElements(Array(2.0, 0.5)))
   }
 
-  test("non-commutative operators are flagged") {
-    assert(Add.commutative && Mul.commutative)
-    assert(!Sub.commutative && !Div.commutative && !Vid.commutative)
-  }
-
   for (op <- allUnary) {
     test(s"unary ${op.name}: local face matches Catalyst face") {
       val expected = op.local(mat.column(0)).sorted

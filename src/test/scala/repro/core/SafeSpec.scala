@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.{SparkSpec, TestData}
-import repro.ml.{Gbdt, GbdtParams, Linear, LocalMatrix, Metrics}
+import repro.ml.{Binning, Gbdt, GbdtParams, Linear, LocalMatrix, Metrics, Rows}
 
 class SafeSpec extends SparkSpec {
 
@@ -45,7 +45,7 @@ class SafeSpec extends SparkSpec {
   test("selected features carry IV above threshold or fallback applies") {
     val res = Safe.fitLocal(train, fastCfg)
     val trNew = res.plan.applyLocal(train)
-    val ivs = InfoValue.ivAllLocal(trNew, trNew.names.toSeq)
+    val ivs = InfoValue.ivAll(Rows.Local(trNew), trNew.names.toSeq, Binning.fitLocal(trNew, InfoValue.DefaultBins))
     // at least the top selected feature must be a medium+ predictor
     assert(ivs.values.max > 0.1)
   }
@@ -54,7 +54,7 @@ class SafeSpec extends SparkSpec {
     val res = Safe.fitLocal(train, fastCfg)
     val trNew = res.plan.applyLocal(train)
     val names = trNew.names.toSeq
-    val corr = Correlation.matrixLocal(trNew, names)
+    val corr = Correlation.matrix(Rows.Local(trNew), names)
     for (i <- names.indices; j <- (i + 1) until names.length)
       assert(math.abs(corr(i)(j)) <= Correlation.DefaultTheta + 1e-9,
         s"${names(i)} vs ${names(j)}: ${corr(i)(j)}")
@@ -154,6 +154,22 @@ class SafeSpec extends SparkSpec {
     }
     // the second case reaches the ranking GBDT: more survive Pearson than the cap keeps
     assert(reports(1).afterCorr > reports(1).selected, reports(1))
+  }
+
+  test("the local engine takes IV and GBDT edges from its sample when N exceeds the cap") {
+    val m = TestData.planted(2000, 6, seed = 14)
+    val engine = new Safe.LocalEngine(m, sampleCap = 500, seed = 3)
+    val gs = Seq(GenFeature(Operators.Mul, Seq("x0", "x1")))
+    engine.addGenerated(gs)
+    val names = m.names.toSeq ++ gs.map(_.name)
+    val sample = engine.scoringMatrix(names)
+    assert(sample.rows == 500)
+    val all = FeaturePlan(gs, names).applyLocal(m)
+    val ivs = engine.ivAll(names, 10)
+    assert(ivs == InfoValue.ivAll(Rows.Local(all), names, Binning.fitLocal(sample, 10)))
+    assert(ivs != InfoValue.ivAll(Rows.Local(all), names, Binning.fitLocal(all, 10)))
+    assert(engine.trainGbdt(names).edges.map(_.toSeq).toSeq ==
+      Binning.fitLocal(sample, engine.gbdtParams.maxBins).map(_.toSeq).toSeq)
   }
 
   test("fitSpark keeps most of fitLocal's features when edges come from a sample") {

@@ -2,7 +2,7 @@ package repro.core
 
 import repro.{SparkSpec, TestData}
 import repro.core.Operators.{Add, Mul}
-import repro.ml.{Binning, LocalMatrix, SparkRows}
+import repro.ml.{Binning, LocalMatrix, Rows, SparkRows}
 
 /** The Spark engine's statistics run the local kernels on row blocks
   * (`SparkRows.blocks`), so they read rows as the local engine does.
@@ -26,9 +26,10 @@ class SparkBlocksSpec extends SparkSpec {
     assert(sizes.length > 1 && sizes.sum == 9000, sizes.toSeq)
     val local = LocalMatrix.fromDF(df)
     val names = local.names.toSeq
-    assert(Correlation.matrixSpark(blocks, names).map(_.toSeq).toSeq ==
-      Correlation.matrixLocal(local, names).map(_.toSeq).toSeq)
-    assert(InfoValue.ivAllSpark(blocks, names, Binning.fitLocal(local, 10)) == InfoValue.ivAllLocal(local, names))
+    assert(Correlation.matrix(Rows.Blocks(blocks), names).map(_.toSeq).toSeq ==
+      Correlation.matrix(Rows.Local(local), names).map(_.toSeq).toSeq)
+    val edges = Binning.fitLocal(local, 10)
+    assert(InfoValue.ivAll(Rows.Blocks(blocks), names, edges) == InfoValue.ivAll(Rows.Local(local), names, edges))
   }
 
   test("the Spark engine reads NaN inputs of generated features as the local engine does") {

@@ -3,7 +3,7 @@ package repro.core.baselines
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestData
 import repro.core.{FeaturePlan, ImportantCombos, InfoValue, RandomCombos, Safe}
-import repro.ml.{GbdtParams, Linear, Metrics}
+import repro.ml.{Binning, GbdtParams, Linear, Metrics, Rows}
 
 class TfcSpec extends AnyFunSuite {
 
@@ -126,7 +126,7 @@ class RandImpSpec extends AnyFunSuite {
   test("RAND selection still enforces the IV threshold") {
     val res = Safe.fitLocal(train, cfg, RandomCombos)
     val out = res.plan.applyLocal(train)
-    val ivs = InfoValue.ivAllLocal(out, out.names.toSeq)
+    val ivs = InfoValue.ivAll(Rows.Local(out), out.names.toSeq, Binning.fitLocal(out, InfoValue.DefaultBins))
     assert(ivs.values.max > 0.0)
   }
 

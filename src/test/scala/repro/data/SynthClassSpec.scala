@@ -1,7 +1,7 @@
 package repro.data
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.ml.{Gbdt, GbdtParams, Linear, Metrics}
+import repro.ml.{Gbdt, GbdtParams, Linear, Metrics, Rows}
 
 class SynthClassSpec extends AnyFunSuite {
 
@@ -80,7 +80,7 @@ class SynthClassSpec extends AnyFunSuite {
   test("redundant features exist (Pearson stage has work to do)") {
     val d = SynthClass.generateByName("spambase", seed = 6)
     val names = d.train.names.toSeq
-    val corr = repro.core.Correlation.matrixLocal(d.train, names)
+    val corr = repro.core.Correlation.matrix(Rows.Local(d.train), names)
     val hasRedundant = names.indices.exists(i => (i + 1 until names.length).exists(j => math.abs(corr(i)(j)) > 0.8))
     assert(hasRedundant)
   }

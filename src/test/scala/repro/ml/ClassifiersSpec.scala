@@ -111,9 +111,10 @@ class ClassifiersSpec extends AnyFunSuite {
   }
 
   test("linear models survive constant features (zero variance)") {
-    val withConst = linTrain.withColumns(Array("const"), Array(Array.fill(linTrain.rows)(7.0)))
-    val lr = Linear.fitLogistic(withConst)
-    val testConst = linTest.withColumns(Array("const"), Array(Array.fill(linTest.rows)(7.0)))
+    def withConst(m: LocalMatrix) =
+      new LocalMatrix(m.names :+ "const", Array.tabulate(m.cols)(m.column) :+ Array.fill(m.rows)(7.0), m.y)
+    val lr = Linear.fitLogistic(withConst(linTrain))
+    val testConst = withConst(linTest)
     assert(auc(lr.predictProba(testConst), testConst) > 0.85)
   }
 

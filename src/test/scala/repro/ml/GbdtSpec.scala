@@ -118,7 +118,7 @@ class GbdtSpec extends SparkSpec {
 
   test("binRow respects training edges") {
     val model = Gbdt.fit(xorTrain, GbdtParams(numTrees = 2, maxBins = 8))
-    val bins = model.binRow(Array(-100.0, 0.0, 100.0))
+    val bins = Binning.binRow(Array(-100.0, 0.0, 100.0), model.edges)
     assert((bins(0) & 0xff) == 0)
     assert((bins(2) & 0xff) == model.edges(2).length) // top bin
   }
@@ -172,7 +172,8 @@ class GbdtSpec extends SparkSpec {
     val test = TestData.xor(300, seed = 10)
     val params = GbdtParams(numTrees = 15, maxBins = 16)
     val local = Gbdt.fit(train, params)
-    val dist = Gbdt.fitDF(SparkRows.blocks(train.toDF(spark)), train.names, Binning.fitLocal(train, params.maxBins), params)
+    val dist = Gbdt.fit(Rows.Blocks(SparkRows.blocks(train.toDF(spark))), train.names,
+      Binning.fitLocal(train, params.maxBins), params)
     val aucLocal = Metrics.auc(test.y, local.predictProba(test))
     val aucDist = Metrics.auc(test.y, dist.predictProba(test))
     assert(aucDist > 0.85, s"distributed auc=$aucDist")

@@ -13,16 +13,16 @@ class LocalMatrixSpec extends SparkSpec {
     assert(sample.column(1).sameElements(Array(2.0, 5.0, 8.0)))
   }
 
-  test("select by index preserves order") {
-    val s = sample.select(Seq(2, 0))
-    assert(s.names.sameElements(Array("c", "a")))
-    assert(s.x(1).sameElements(Array(6.0, 4.0)))
-    assert(s.y.sameElements(sample.y))
-  }
-
   test("selectNames resolves positions") {
     val s = sample.selectNames(Seq("b"))
     assert(s.cols == 1 && s.column(0).sameElements(Array(2.0, 5.0, 8.0)))
+  }
+
+  test("selectNames preserves the requested order") {
+    val s = sample.selectNames(Seq("c", "a"))
+    assert(s.names.sameElements(Array("c", "a")))
+    assert(s.x(1).sameElements(Array(6.0, 4.0)))
+    assert(s.y.sameElements(sample.y))
   }
 
   test("takeRows subsets rows and labels together") {
@@ -32,34 +32,21 @@ class LocalMatrixSpec extends SparkSpec {
     assert(s.x(1)(0) == 1.0 && s.y(1) == 0.0)
   }
 
-  test("withColumns appends and rejects duplicates") {
-    val s = sample.withColumns(Array("d"), Array(Array(10.0, 11.0, 12.0)))
-    assert(s.cols == 4 && s.names.last == "d")
-    assert(s.column(3).sameElements(Array(10.0, 11.0, 12.0)))
-    intercept[IllegalArgumentException] {
-      sample.withColumns(Array("a"), Array(Array(0.0, 0.0, 0.0)))
-    }
-  }
-
-  test("x equals the columns transposed after select, takeRows and withColumns") {
+  test("x equals the columns transposed after selectNames and takeRows") {
     def transposed(m: LocalMatrix): Seq[Seq[Double]] =
       (0 until m.rows).map(i => (0 until m.cols).map(j => m.column(j)(i)))
-    val selected = sample.select(Seq(2, 0))
+    val selected = sample.selectNames(Seq("c", "a"))
     val taken = selected.takeRows(Array(2, 0, 1))
-    val appended = taken.withColumns(Array("d"), Array(Array(10.0, 11.0, 12.0)))
-    Seq(sample, selected, taken, appended).foreach { m =>
+    Seq(sample, selected, taken).foreach { m =>
       assert(m.x.map(_.toSeq).toSeq == transposed(m))
     }
-    assert(appended.x(0).sameElements(Array(9.0, 7.0, 10.0)))
+    assert(taken.x(0).sameElements(Array(9.0, 7.0)))
   }
 
-  test("select, selectNames and withColumns share columns instead of copying") {
+  test("selectNames shares columns instead of copying") {
     val m = sample
-    assert(m.select(Seq(2, 0)).column(1) eq m.column(0))
+    assert(m.selectNames(Seq("c", "a")).column(1) eq m.column(0))
     assert(m.selectNames(Seq("b")).column(0) eq m.column(1))
-    val d = Array(10.0, 11.0, 12.0)
-    val w = m.withColumns(Array("d"), Array(d))
-    assert((w.column("d") eq d) && (w.column("a") eq m.column("a")))
   }
 
   test("row/label length mismatch is rejected") {
