@@ -35,7 +35,10 @@ object Correlation {
 
   /** Adds the sums of `n` rows of `cols` into `acc` (layout above). Every
     * cell continues from its current value row by row, so a partition's
-    * blocks sum exactly as one pass over its rows would.
+    * blocks sum exactly as one pass over its rows would. One sweep over the
+    * rows of column i feeds four cross-product cells (i, k) … (i, k + 3) from
+    * four independent accumulators; each cell's sum is still the row-order
+    * chain of its own products.
     */
   private def addSums(acc: Array[Double], cols: Array[Array[Double]], n: Int): Unit = {
     val c = cols.length
@@ -50,6 +53,19 @@ object Correlation {
       acc(i) = s
       acc(c + i) = sq
       var k = i
+      while (k + 4 <= c) {
+        val c0 = cols(k); val c1 = cols(k + 1); val c2 = cols(k + 2); val c3 = cols(k + 3)
+        var x0 = acc(t); var x1 = acc(t + 1); var x2 = acc(t + 2); var x3 = acc(t + 3)
+        r = 0
+        while (r < n) {
+          val v = ci(r)
+          x0 += v * c0(r); x1 += v * c1(r); x2 += v * c2(r); x3 += v * c3(r)
+          r += 1
+        }
+        acc(t) = x0; acc(t + 1) = x1; acc(t + 2) = x2; acc(t + 3) = x3
+        t += 4
+        k += 4
+      }
       while (k < c) {
         val ck = cols(k)
         var cross = acc(t)

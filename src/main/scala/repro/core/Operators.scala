@@ -46,9 +46,26 @@ object Operators {
   def input(c: Column): Column =
     when(abs(c.cast(DoubleType)) < Double.PositiveInfinity, c.cast(DoubleType)).otherwise(lit(0.0))
 
+  /** Non-finite → 0 on a non-null operand: NaN (ordered above every number)
+    * and ±Inf fail |c| < ∞. Names `c` twice, so nesting stays linear. */
   private def guardCol(c: Column): Column =
-    when(isnan(c) || c === Double.PositiveInfinity || c === Double.NegativeInfinity, lit(0.0))
-      .otherwise(c)
+    when(abs(c) < Double.PositiveInfinity, c).otherwise(lit(0.0))
+
+  /** Element-wise `f` as a primitive loop (`Array.tabulate`/`map` box each
+    * `Double`). */
+  private def zipLocal(a: Array[Double], b: Array[Double])(f: (Double, Double) => Double): Array[Double] = {
+    val out = new Array[Double](a.length)
+    var i = 0
+    while (i < out.length) { out(i) = f(a(i), b(i)); i += 1 }
+    out
+  }
+
+  private def mapLocal(a: Array[Double])(f: Double => Double): Array[Double] = {
+    val out = new Array[Double](a.length)
+    var i = 0
+    while (i < out.length) { out(i) = f(a(i)); i += 1 }
+    out
+  }
 
   // ---- the four basic arithmetic operators used in the paper's experiments
 
@@ -56,7 +73,7 @@ object Operators {
     val name = "add"
     def column(a: Column, b: Column): Column = guardCol(a + b)
     def local(a: Array[Double], b: Array[Double]): Array[Double] =
-      Array.tabulate(a.length)(i => finite(a(i) + b(i)))
+      zipLocal(a, b)((x, y) => finite(x + y))
     def sql(a: String, b: String): String = s"($a + $b)"
   }
 
@@ -64,7 +81,7 @@ object Operators {
     val name = "sub"
     def column(a: Column, b: Column): Column = guardCol(a - b)
     def local(a: Array[Double], b: Array[Double]): Array[Double] =
-      Array.tabulate(a.length)(i => finite(a(i) - b(i)))
+      zipLocal(a, b)((x, y) => finite(x - y))
     def sql(a: String, b: String): String = s"($a - $b)"
   }
 
@@ -72,7 +89,7 @@ object Operators {
     val name = "mul"
     def column(a: Column, b: Column): Column = guardCol(a * b)
     def local(a: Array[Double], b: Array[Double]): Array[Double] =
-      Array.tabulate(a.length)(i => finite(a(i) * b(i)))
+      zipLocal(a, b)((x, y) => finite(x * y))
     def sql(a: String, b: String): String = s"($a * $b)"
   }
 
@@ -81,7 +98,7 @@ object Operators {
     def column(a: Column, b: Column): Column =
       guardCol(when(abs(b) < DivEps, lit(0.0)).otherwise(a / b))
     def local(a: Array[Double], b: Array[Double]): Array[Double] =
-      Array.tabulate(a.length)(i => if (math.abs(b(i)) < DivEps) 0.0 else finite(a(i) / b(i)))
+      zipLocal(a, b)((x, y) => if (math.abs(y) < DivEps) 0.0 else finite(x / y))
     def sql(a: String, b: String): String =
       s"(CASE WHEN abs($b) < $DivEps THEN 0.0 ELSE $a / $b END)"
   }
@@ -101,28 +118,28 @@ object Operators {
   case object Square extends UnaryOp {
     val name = "square"
     def column(a: Column): Column = guardCol(a * a)
-    def local(a: Array[Double]): Array[Double] = a.map(v => finite(v * v))
+    def local(a: Array[Double]): Array[Double] = mapLocal(a)(v => finite(v * v))
     def sql(a: String): String = s"($a * $a)"
   }
 
   case object SqrtAbs extends UnaryOp {
     val name = "sqrtabs"
     def column(a: Column): Column = sqrt(abs(a))
-    def local(a: Array[Double]): Array[Double] = a.map(v => math.sqrt(math.abs(v)))
+    def local(a: Array[Double]): Array[Double] = mapLocal(a)(v => math.sqrt(math.abs(v)))
     def sql(a: String): String = s"sqrt(abs($a))"
   }
 
   case object Log1pAbs extends UnaryOp {
     val name = "log1pabs"
     def column(a: Column): Column = log(abs(a) + 1.0)
-    def local(a: Array[Double]): Array[Double] = a.map(v => math.log1p(math.abs(v)))
+    def local(a: Array[Double]): Array[Double] = mapLocal(a)(v => math.log1p(math.abs(v)))
     def sql(a: String): String = s"ln(abs($a) + 1.0)"
   }
 
   case object Tanh extends UnaryOp {
     val name = "tanh"
     def column(a: Column): Column = tanh(a)
-    def local(a: Array[Double]): Array[Double] = a.map(math.tanh)
+    def local(a: Array[Double]): Array[Double] = mapLocal(a)(math.tanh)
     // DuckDB 1.0 has no tanh() — use the exp identity (exp overflows to +inf
     // for large inputs, which still evaluates to the correct limit 1.0).
     def sql(a: String): String = s"(1.0 - 2.0 / (exp(2.0 * ($a)) + 1.0))"

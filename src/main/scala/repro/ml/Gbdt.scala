@@ -102,7 +102,14 @@ object Gbdt {
         finally binned.unpersist(blocking = false)
     }
 
-  /** Core level-wise trainer over any backend. */
+  /** Core level-wise trainer over any backend: one `histograms` call per
+    * level of each tree. Below max depth it asks for every feature and
+    * scans them for the best split. At max depth every frontier node becomes
+    * a leaf, so it asks for feature 0 only (the first entry of `offsets`, one
+    * feature's bins) and reads nothing but that node's (G, H) totals; each
+    * bin of feature 0 still sums the same rows in the same order, so the
+    * leaves are the same doubles.
+    */
   def train(backend: HistBackend, edges: Array[Array[Double]],
             names: Array[String], params: GbdtParams): GbdtModel = {
     val binCounts = Binning.binCounts(edges)
@@ -119,8 +126,10 @@ object Gbdt {
         val pending = partial.indices.filter(partial(_).feature == Node.Pending).toArray
         if (pending.isEmpty) { anyPending = false }
         else {
-          val (g, h) = backend.histograms(trees.toArray, partial.toArray, pending, offsets, totalBins)
           val atMaxDepth = depth >= params.maxDepth
+          val (g, h) =
+            if (atMaxDepth) backend.histograms(trees.toArray, partial.toArray, pending, offsets.take(1), binCounts(0))
+            else backend.histograms(trees.toArray, partial.toArray, pending, offsets, totalBins)
           var k = 0
           while (k < pending.length) {
             val nodeId = pending(k)

@@ -83,11 +83,15 @@ trait HistBackend {
     * has already seen (the same tree arrays, compared by reference) and fold
     * in only the trees after it, so finalized trees must not be mutated.
     *
+    * The trainer may ask for a prefix of the features (at max depth it asks
+    * for feature 0 alone): `offsets` then has one entry per requested
+    * feature and `totalBins` counts only their bins.
+    *
     * @param prevTrees finalized trees of the model so far
     * @param partial   nodes of the tree being grown (contains Pending nodes)
     * @param pending   ids of the Pending nodes (the frontier)
     * @param offsets   per-feature offset into the flat bin axis
-    * @param totalBins sum of per-feature bin counts
+    * @param totalBins sum of the requested features' bin counts
     * @return (g, h): per frontier node, flat arrays indexed offsets(f)+bin
     */
   def histograms(

@@ -52,6 +52,48 @@ class CorrelationSpec extends SparkSpec {
       assert(math.abs(local(i)(j) - dist(i)(j)) < 1e-9, s"($i,$j)")
   }
 
+  /** Eq. 7 by a plain triple loop: each sum, square sum and cross product is
+    * one chain over the rows in order, then the kernel's formula.
+    */
+  private def naiveMatrix(cols: Array[Array[Double]]): Array[Array[Double]] = {
+    val c = cols.length
+    val n = cols.head.length
+    def sum(f: Int => Double): Double = { var s = 0.0; var r = 0; while (r < n) { s += f(r); r += 1 }; s }
+    val s = cols.map(ci => sum(ci(_)))
+    val sq = cols.map(ci => sum(r => ci(r) * ci(r)))
+    Array.tabulate(c, c) { (i, k) =>
+      if (i == k) 1.0
+      else {
+        val (a, b) = (math.min(i, k), math.max(i, k))
+        val cov = sum(r => cols(a)(r) * cols(b)(r)) - s(i) * s(k) / n
+        val vi = sq(i) - s(i) * s(i) / n
+        val vk = sq(k) - s(k) * s(k) / n
+        if (vi <= 1e-12 || vk <= 1e-12) 0.0 else cov / math.sqrt(vi * vk)
+      }
+    }
+  }
+
+  test("matrix equals a naive triple loop for 1 to 9 columns, on one matrix and on 3 row blocks") {
+    val rng = new Random(21)
+    val n = 301
+    val all = Array.fill(9)(Array.fill(n)(rng.nextGaussian() * 3 + rng.nextInt(5)))
+    // Three blocks of one partition: each cell continues across them.
+    val cuts = Seq(0, 100, 201, n)
+    val blocks = spark.sparkContext.parallelize(Seq(0), 1).flatMap { _ =>
+      cuts.sliding(2).map { case Seq(from, to) =>
+        new LocalMatrix(Array.tabulate(9)(j => s"x$j"), all.map(_.slice(from, to)), new Array[Double](to - from))
+      }
+    }
+    for (c <- 1 to 9) {
+      val names = (0 until c).map(j => s"x$j")
+      val expected = naiveMatrix(all.take(c)).map(_.toSeq).toSeq
+      val local = Correlation.matrix(Rows.Local(new LocalMatrix(names.toArray, all.take(c), new Array[Double](n))), names)
+      assert(local.map(_.toSeq).toSeq == expected, s"local, $c columns")
+      val blocked = Correlation.matrix(Rows.Blocks(blocks), names)
+      assert(blocked.map(_.toSeq).toSeq == expected, s"blocks, $c columns")
+    }
+  }
+
   test("constant columns yield zero correlation, not NaN") {
     val m = LocalMatrix(Array("a", "k"),
       Array.tabulate(50)(i => Array(i.toDouble, 3.0)), Array.fill(50)(0.0))

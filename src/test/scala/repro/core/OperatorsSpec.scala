@@ -74,6 +74,33 @@ class OperatorsSpec extends SparkSpec {
     }
   }
 
+  test("each local face equals its per-element formula on 0, 1 and 1 000 values") {
+    def fin(v: Double) = if (java.lang.Double.isFinite(v)) v else 0.0
+    def quotient(x: Double, y: Double) = if (math.abs(y) < DivEps) 0.0 else fin(x / y)
+    val binary: Seq[(BinaryOp, (Double, Double) => Double)] = Seq(
+      (Add, (x, y) => fin(x + y)), (Sub, (x, y) => fin(x - y)), (Mul, (x, y) => fin(x * y)),
+      (Div, (x, y) => quotient(x, y)), (Vid, (x, y) => quotient(y, x)))
+    val unary: Seq[(UnaryOp, Double => Double)] = Seq(
+      (Square, v => fin(v * v)), (SqrtAbs, v => math.sqrt(math.abs(v))),
+      (Log1pAbs, v => math.log1p(math.abs(v))), (Tanh, v => math.tanh(v)))
+    val rng = new Random(5)
+    // Overflow to ±Inf, 0/0, denominators on both sides of the 1e-12 guard.
+    val edge = Array(Double.MaxValue, -Double.MaxValue, 0.0, -0.0, 1e-13, -1e-13, 1e-12, 3.0, -2.0, 1e308)
+    def draw(n: Int) = Array.tabulate(n)(i => if (i % 7 == 0) edge(rng.nextInt(edge.length)) else rng.nextGaussian() * 10)
+    def bits(a: Array[Double]) = a.toSeq.map(java.lang.Double.doubleToRawLongBits)
+    for (n <- Seq(0, 1, 1000)) {
+      val (a, b) = (draw(n), draw(n))
+      binary.foreach { case (op, f) =>
+        assert(bits(op.local(a, b)) == bits(Array.tabulate(n)(i => f(a(i), b(i)))), s"${op.name}, n=$n")
+      }
+      unary.foreach { case (op, f) =>
+        assert(bits(op.local(a)) == bits(Array.tabulate(n)(i => f(a(i)))), s"${op.name}, n=$n")
+      }
+    }
+    assert(Mul.local(Array(Double.MaxValue), Array(2.0)).sameElements(Array(0.0)))
+    assert(Div.local(Array(1.0, 1.0), Array(1e-13, 0.5)).sameElements(Array(0.0, 2.0)))
+  }
+
   test("operator registry contents match the paper's experiment setup") {
     assert(basicArithmetic.map(_.name) == Seq("add", "sub", "mul", "div", "vid"))
   }

@@ -1,9 +1,96 @@
 package repro.ml
 
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.util.Pretty
 import repro.SparkSpec
 import scala.util.Random
 
 class BinningSpec extends SparkSpec {
+
+  /** `quantileEdges` as a full sort defines it: the order statistics of ranks
+    * min(n − 1, ⌊q·n / maxBins⌋) of `Arrays.sort`'s order, duplicates and the
+    * max dropped. The selection kernel must reproduce it bit for bit.
+    */
+  private def sortedEdges(values: Array[Double], maxBins: Int): Array[Double] = {
+    if (values.isEmpty) return Array.empty
+    val sorted = values.clone()
+    java.util.Arrays.sort(sorted)
+    val n = sorted.length
+    val edges = (1 until maxBins).map(q => sorted(math.min(n - 1, (q.toLong * n / maxBins).toInt))).distinct.toArray
+    edges.filter(_ < sorted(n - 1))
+  }
+
+  /** First index with v <= edges(i), by bisection; edges.length if none. */
+  private def bisectBin(v: Double, edges: Array[Double]): Int = {
+    var lo = 0
+    var hi = edges.length
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (v <= edges(mid)) hi = mid else lo = mid + 1
+    }
+    lo
+  }
+
+  private def bits(a: Array[Double]): Seq[Long] = a.toSeq.map(java.lang.Double.doubleToRawLongBits)
+
+  private def check(prop: Prop, tests: Int): Unit = {
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(tests), prop)
+    assert(res.passed, Pretty.pretty(res))
+  }
+
+  private val special = Seq(0.0, -0.0, Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)
+
+  /** Columns of every shape the edges must survive: continuous, heavy ties,
+    * constant, mixed ±0.0, sprinkled NaN and ±Inf; n from 1 to past maxBins.
+    */
+  private val column: Gen[Array[Double]] = for {
+    n <- Gen.frequency(1 -> Gen.const(1), 3 -> Gen.choose(2, 12), 5 -> Gen.choose(13, 400))
+    values <- Gen.oneOf(
+      Gen.listOfN(n, Gen.choose(-5.0, 5.0)),
+      Gen.listOfN(n, Gen.choose(0, 3).map(_.toDouble)),
+      Gen.choose(-3.0, 3.0).map(List.fill(n)(_)),
+      Gen.listOfN(n, Gen.oneOf(0.0, -0.0, 2.0, -2.0)),
+      Gen.listOfN(n, Gen.frequency(4 -> Gen.choose(-5.0, 5.0), 2 -> Gen.oneOf(0.0, -0.0, 1.0), 1 -> Gen.oneOf(special))))
+  } yield values.toArray
+
+  test("quantileEdges equals the sort definition bit for bit at 2, 10, 32 and 127 bins") {
+    check(Prop.forAllNoShrink(column, Gen.oneOf(2, 10, 32, 127)) { (values, maxBins) =>
+      val input = values.clone()
+      val got = Binning.quantileEdges(values, maxBins)
+      (bits(got) == bits(sortedEdges(values, maxBins))) :| s"maxBins=$maxBins got=${got.mkString(",")}" &&
+        (bits(values) == bits(input)) :| "input must not be permuted"
+    }, tests = 2000)
+  }
+
+  test("quantileEdges selects the same order statistics as a sort on long columns") {
+    val rng = new Random(11)
+    val columns = Seq(
+      Array.fill(5000)(rng.nextGaussian()),
+      Array.tabulate(5000)(_.toDouble),               // sorted
+      Array.tabulate(5000)(i => (5000 - i).toDouble), // reversed
+      Array.tabulate(5000)(i => (i % 50).toDouble),   // sawtooth: 50 values, 100 ties each
+      Array.fill(5000)(rng.nextInt(2).toDouble))      // two values
+    for (values <- columns; maxBins <- Seq(2, 10, 32, 127))
+      assert(bits(Binning.quantileEdges(values, maxBins)) == bits(sortedEdges(values, maxBins)), s"maxBins=$maxBins")
+  }
+
+  test("binOf equals bisection below, at, between and above the edges, and for NaN") {
+    val rng = new Random(9)
+    for (maxBins <- Seq(2, 3, 10, 32, 127)) {
+      val edges = Binning.quantileEdges(Array.fill(4000)(rng.nextGaussian()), maxBins)
+      assert(edges.length == maxBins - 1)
+      val probes = edges.flatMap(e => Seq(e, Math.nextDown(e), Math.nextUp(e))) ++
+        edges.zip(edges.drop(1)).map { case (a, b) => (a + b) / 2 } ++
+        Seq(edges.head - 1, edges.last + 1) ++ special
+      probes.foreach(v => assert(Binning.binOf(v, edges) == bisectBin(v, edges), s"maxBins=$maxBins v=$v"))
+      assert(Binning.binOf(Double.NaN, edges) == edges.length)
+    }
+    check(Prop.forAllNoShrink(Gen.choose(-4.0, 4.0), Gen.choose(2, 127)) { (v, maxBins) =>
+      val edges = Binning.quantileEdges(Array.tabulate(300)(i => math.sin(i * 0.37) * 3), maxBins)
+      Binning.binOf(v, edges) == bisectBin(v, edges)
+    }, tests = 500)
+  }
 
   test("quantileEdges of a uniform ramp are evenly spread") {
     val vals = (1 to 100).map(_.toDouble).toArray

@@ -26,6 +26,41 @@ private final class RescoringHist(bins: Array[Array[Byte]], labels: Array[Double
   }
 }
 
+/** A `LocalHist` that records, per `histograms` call, the depth of its
+  * frontier and how many features and bins were asked for. A call narrowed to
+  * a prefix of the features is also checked against the full histograms.
+  */
+private final class RecordingHist(bins: Array[Array[Byte]], labels: Array[Double], fullOffsets: Array[Int],
+                                  fullBins: Int) extends HistBackend {
+  private val inner = new LocalHist(bins, labels)
+  private val reference = new LocalHist(bins, labels)
+  val calls = scala.collection.mutable.ArrayBuffer.empty[(Int, Int, Int)] // (depth, features, bins)
+  var prefixMatches = true
+
+  override def numRows: Long = inner.numRows
+
+  override def histograms(
+      prevTrees: Array[Array[Node]],
+      partial: Array[Node],
+      pending: Array[Int],
+      offsets: Array[Int],
+      totalBins: Int): (Array[Array[Double]], Array[Array[Double]]) = {
+    val parent = Array.fill(partial.length)(-1)
+    partial.indices.foreach { i => if (partial(i).feature >= 0) { parent(partial(i).left) = i; parent(partial(i).right) = i } }
+    var depth = 0
+    var i = pending.head
+    while (parent(i) >= 0) { i = parent(i); depth += 1 }
+    calls += ((depth, offsets.length, totalBins))
+    val (g, h) = inner.histograms(prevTrees, partial, pending, offsets, totalBins)
+    if (offsets.length < fullOffsets.length) {
+      val (gFull, hFull) = reference.histograms(prevTrees, partial, pending, fullOffsets, fullBins)
+      prefixMatches &&= g.indices.forall(k => g(k).toSeq == gFull(k).take(totalBins).toSeq &&
+        h(k).toSeq == hFull(k).take(totalBins).toSeq)
+    }
+    (g, h)
+  }
+}
+
 class GbdtSpec extends SparkSpec {
 
   private lazy val xorTrain = TestData.xor(800, seed = 1)
@@ -165,6 +200,24 @@ class GbdtSpec extends SparkSpec {
       val fresh = Gbdt.train(new LocalHist(bins, train.y), edges, train.names, p)
       assert(treesOf(reused) == treesOf(fresh), s"params $p")
     }
+  }
+
+  test("the last level asks for feature 0's histogram only, in the same number of calls") {
+    val train = TestData.planted(700, 5, seed = 12)
+    val params = GbdtParams()
+    val edges = Binning.fitLocal(train, params.maxBins)
+    val bins = Binning.applyLocal(train, edges)
+    val counts = Binning.binCounts(edges)
+    val rec = new RecordingHist(bins, train.y, counts.scanLeft(0)(_ + _).dropRight(1), counts.sum)
+    Gbdt.train(rec, edges, train.names, params)
+    // 20 trees x 4 levels: every tree reaches max depth.
+    assert(rec.calls.length == 80)
+    rec.calls.foreach { case (depth, features, totalBins) =>
+      if (depth == params.maxDepth) assert(features == 1 && totalBins == counts(0), s"depth $depth")
+      else assert(features == counts.length && totalBins == counts.sum, s"depth $depth")
+    }
+    assert(rec.calls.count(_._1 == params.maxDepth) == params.numTrees)
+    assert(rec.prefixMatches, "feature 0's bins must be the full histogram's")
   }
 
   test("fitDF (distributed end-to-end) matches local fit quality") {
