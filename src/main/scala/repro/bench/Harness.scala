@@ -97,14 +97,13 @@ object Harness {
     val t0 = System.nanoTime()
     val df = train.toDF(spark).cache()
     df.count()
-    val plan = method match {
+    val plan = try method match {
       case "ORIG" => FeaturePlan(Nil, train.names.toSeq)
       case "RAND" => Safe.fitSpark(df, "label", cfg.copy(seed = seed), RandomCombos).plan
       case "IMP"  => Safe.fitSpark(df, "label", cfg.copy(seed = seed), ImportantCombos).plan
       case "SAFE" => Safe.fitSpark(df, "label", cfg.copy(seed = seed)).plan
       case other  => throw new IllegalArgumentException(s"unsupported Spark method $other")
-    }
-    df.unpersist()
+    } finally df.unpersist()
     (plan, (System.nanoTime() - t0) / 1e9)
   }
 }

@@ -1,7 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
-import repro.ml.LocalMatrix
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.lit
+import repro.ml.{LocalMatrix, SparkRows}
 import repro.core.Operators.{BinaryOp, Op, UnaryOp}
 
 /** One generated feature: an operator applied to named input columns.
@@ -16,13 +17,7 @@ final case class GenFeature(op: Op, inputs: Seq[String]) {
   /** Built once: Ψ looks it up for every feature of every record it serves. */
   val name: String = s"${op.name}__${inputs.mkString("__")}"
 
-  /** Catalyst expression; `input` resolves an input name to its column. */
-  def column(input: String => Column): Column = op match {
-    case u: UnaryOp  => u.column(input(inputs.head))
-    case b: BinaryOp => b.column(input(inputs.head), input(inputs(1)))
-  }
-
-  /** Evaluation on driver arrays; `input` resolves an input name to its column. */
+  /** Evaluation on column arrays; `input` resolves an input name to its column. */
   def local(input: String => Array[Double]): Array[Double] = op match {
     case u: UnaryOp  => u.local(input(inputs.head))
     case b: BinaryOp => b.local(input(inputs.head), input(inputs(1)))
@@ -66,42 +61,42 @@ final case class FeaturePlan(generated: Seq[GenFeature], keep: Seq[String]) {
     generated.filter(g => needed(g.name))
   }
 
-  /** Apply Ψ to a DataFrame of original feature columns (a label column, if
-    * named and present, is passed through). Pure Catalyst — works on a 1-row
-    * frame for real-time inference: one `select` reads each input column the
-    * plan uses as the fit reads it (`Operators.input`; its own projection, as
-    * the operators read an input up to four times), then one `select` in
-    * which chained features nest. It gives `applyLocal(LocalMatrix.fromDF(df))`.
+  /** Apply Ψ to a DataFrame of original feature columns with the one
+    * evaluator: `applyLocal` on the frame's row blocks, decoded as the Spark
+    * fit reads them (`SparkRows.blocks`; a label must be 0 or 1). Gives the
+    * `keep` columns as non-null doubles, then the decoded label if named and
+    * present, in row order: `applyLocal(LocalMatrix.fromDF(df))` bit for
+    * bit. Works on a 1-row frame (real-time inference); names are checked on
+    * the driver.
     */
   def transform(df: DataFrame, labelCol: Option[String] = Some("label")): DataFrame = {
     val present = df.columns.toSet
     val label = labelCol.filter(present)
-    val read = (keep ++ neededGenerated.flatMap(_.inputs)).distinct.filter(present)
-    val in = df.select(read.map(n => Operators.input(df(n)).as(n)) ++ label.map(df(_)): _*)
-    val cols = evaluate(in.columns.toSeq.map(n => n -> in(n)))(_.column(_))
-    in.select(keep.map(n => cols(n).as(n)) ++ label.map(in(_)): _*)
+    val read = (keep ++ neededGenerated.flatMap(_.inputs)).distinct.filter(present).toArray
+    applyLocal(new LocalMatrix(read, read.map(_ => Array.emptyDoubleArray), Array.emptyDoubleArray))
+    // blocks need a label column: without one, a 0.0 placeholder under a name the plan does not read
+    val y = label.getOrElse(Iterator.iterate("label")("_" + _).find(n => !read.contains(n)).get)
+    val in = df.select(read.map(df(_)).toSeq :+ label.fold(lit(0.0))(df(_)).as(y): _*)
+    val out = SparkRows.blocks(in, y).mapPartitions(_.flatMap { b =>
+      val psi = applyLocal(b)
+      val cols = Array.tabulate(psi.cols)(psi.column)
+      LocalMatrix.chunkRows(if (label.isDefined) cols :+ psi.y else cols, psi.rows)
+    })
+    df.sparkSession.createDataFrame(out, LocalMatrix.schema(keep ++ label))
   }
 
-  /** Apply Ψ to a local matrix of original features. Kept original columns
-    * are shared with `m`, not copied.
+  /** Apply Ψ to a local matrix of original features: one pass over
+    * `neededGenerated` in dependency order into a name → column map that
+    * starts from `m`'s columns (a generated name must not repeat or collide
+    * with an input). Kept original columns are shared with `m`, not copied.
     */
   def applyLocal(m: LocalMatrix): LocalMatrix = {
-    val cols = evaluate(m.names.indices.map(j => m.names(j) -> m.column(j)))(_.local(_))
-    new LocalMatrix(keep.toArray, keep.map(cols).toArray, m.y)
-  }
-
-  /** One pass over `neededGenerated` in dependency order into a name →
-    * column map that starts from `inputs`; a generated name must not repeat
-    * or collide with an input.
-    */
-  private def evaluate[A](inputs: Seq[(String, A)])
-                         (eval: (GenFeature, String => A) => A): scala.collection.Map[String, A] = {
-    val cols = scala.collection.mutable.HashMap.from(inputs)
+    val cols = scala.collection.mutable.HashMap.from(m.names.indices.map(j => m.names(j) -> m.column(j)))
     neededGenerated.foreach { g =>
       require(!cols.contains(g.name), s"duplicate columns: ${g.name}")
-      cols(g.name) = eval(g, cols)
+      cols(g.name) = g.local(cols)
     }
-    cols
+    new LocalMatrix(keep.toArray, keep.map(cols).toArray, m.y)
   }
 
   /** Human-readable description of the output feature set. */

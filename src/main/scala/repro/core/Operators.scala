@@ -1,21 +1,14 @@
 package repro.core
 
-import org.apache.spark.sql.Column
-import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.DoubleType
-
 /** Operator registry (§III of the paper).
   *
-  * Every operator carries three synchronized faces:
-  *   - `column`: a Catalyst expression — generation is a DataFrame
-  *     transformation, so Ψ works for real-time inference on a 1-row frame;
-  *   - `local`: the same computation on driver arrays (fast path for the
-  *     paper's single-machine benchmark grid);
-  *   - `sql`: equivalent standard SQL, used by the DuckDB oracle tests to
-  *     prove the Catalyst and local faces compute the same thing.
+  * Every operator carries two synchronized faces:
+  *   - `local`: the computation on column arrays, which Ψ's one evaluator
+  *     (`FeaturePlan.applyLocal`) runs wherever the rows live;
+  *   - `sql`: equivalent standard SQL, the DuckDB oracle's check of `local`.
   *
-  * All operators force finite outputs: `÷` maps |denominator| < 1e-12 to 0,
-  * and non-finite results are zeroed (same guard in all three faces).
+  * All operators force finite outputs: `÷` maps |denominator| < 1e-12 to 0
+  * (in both faces), and the local face zeroes non-finite results.
   * Non-commutative operators are modelled as distinct operators per the
   * paper (`÷` appears as `div` and `vid` = reversed division).
   */
@@ -27,29 +20,17 @@ object Operators {
 
   trait UnaryOp extends Op {
     final val arity = 1
-    def column(a: Column): Column
     def local(a: Array[Double]): Array[Double]
     def sql(a: String): String
   }
 
   trait BinaryOp extends Op {
     final val arity = 2
-    def column(a: Column, b: Column): Column
     def local(a: Array[Double], b: Array[Double]): Array[Double]
     def sql(a: String, b: String): String
   }
 
   private def finite(v: Double): Double = if (java.lang.Double.isFinite(v)) v else 0.0
-
-  /** A raw input cell as `SparkRows.decode` reads it: a null, NaN (Spark
-    * orders it above every number) or ±Inf fails |v| < ∞ and reads as 0. */
-  def input(c: Column): Column =
-    when(abs(c.cast(DoubleType)) < Double.PositiveInfinity, c.cast(DoubleType)).otherwise(lit(0.0))
-
-  /** Non-finite → 0 on a non-null operand: NaN (ordered above every number)
-    * and ±Inf fail |c| < ∞. Names `c` twice, so nesting stays linear. */
-  private def guardCol(c: Column): Column =
-    when(abs(c) < Double.PositiveInfinity, c).otherwise(lit(0.0))
 
   /** Element-wise `f` as a primitive loop (`Array.tabulate`/`map` box each
     * `Double`). */
@@ -71,7 +52,6 @@ object Operators {
 
   case object Add extends BinaryOp {
     val name = "add"
-    def column(a: Column, b: Column): Column = guardCol(a + b)
     def local(a: Array[Double], b: Array[Double]): Array[Double] =
       zipLocal(a, b)((x, y) => finite(x + y))
     def sql(a: String, b: String): String = s"($a + $b)"
@@ -79,7 +59,6 @@ object Operators {
 
   case object Sub extends BinaryOp {
     val name = "sub"
-    def column(a: Column, b: Column): Column = guardCol(a - b)
     def local(a: Array[Double], b: Array[Double]): Array[Double] =
       zipLocal(a, b)((x, y) => finite(x - y))
     def sql(a: String, b: String): String = s"($a - $b)"
@@ -87,7 +66,6 @@ object Operators {
 
   case object Mul extends BinaryOp {
     val name = "mul"
-    def column(a: Column, b: Column): Column = guardCol(a * b)
     def local(a: Array[Double], b: Array[Double]): Array[Double] =
       zipLocal(a, b)((x, y) => finite(x * y))
     def sql(a: String, b: String): String = s"($a * $b)"
@@ -95,8 +73,6 @@ object Operators {
 
   case object Div extends BinaryOp {
     val name = "div"
-    def column(a: Column, b: Column): Column =
-      guardCol(when(abs(b) < DivEps, lit(0.0)).otherwise(a / b))
     def local(a: Array[Double], b: Array[Double]): Array[Double] =
       zipLocal(a, b)((x, y) => if (math.abs(y) < DivEps) 0.0 else finite(x / y))
     def sql(a: String, b: String): String =
@@ -108,7 +84,6 @@ object Operators {
     */
   case object Vid extends BinaryOp {
     val name = "vid"
-    def column(a: Column, b: Column): Column = Div.column(b, a)
     def local(a: Array[Double], b: Array[Double]): Array[Double] = Div.local(b, a)
     def sql(a: String, b: String): String = Div.sql(b, a)
   }
@@ -117,28 +92,24 @@ object Operators {
 
   case object Square extends UnaryOp {
     val name = "square"
-    def column(a: Column): Column = guardCol(a * a)
     def local(a: Array[Double]): Array[Double] = mapLocal(a)(v => finite(v * v))
     def sql(a: String): String = s"($a * $a)"
   }
 
   case object SqrtAbs extends UnaryOp {
     val name = "sqrtabs"
-    def column(a: Column): Column = sqrt(abs(a))
     def local(a: Array[Double]): Array[Double] = mapLocal(a)(v => math.sqrt(math.abs(v)))
     def sql(a: String): String = s"sqrt(abs($a))"
   }
 
   case object Log1pAbs extends UnaryOp {
     val name = "log1pabs"
-    def column(a: Column): Column = log(abs(a) + 1.0)
     def local(a: Array[Double]): Array[Double] = mapLocal(a)(v => math.log1p(math.abs(v)))
     def sql(a: String): String = s"ln(abs($a) + 1.0)"
   }
 
   case object Tanh extends UnaryOp {
     val name = "tanh"
-    def column(a: Column): Column = tanh(a)
     def local(a: Array[Double]): Array[Double] = mapLocal(a)(math.tanh)
     // DuckDB 1.0 has no tanh() — use the exp identity (exp overflows to +inf
     // for large inputs, which still evaluates to the correct limit 1.0).

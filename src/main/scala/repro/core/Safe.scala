@@ -68,11 +68,12 @@ object Safe {
     * `originalNames` whose rows live in `rows`. It is lazy: `addGenerated`
     * only records the features, and every statistic evaluates the generated
     * columns it reads through Ψ's one-pass evaluator (`FeaturePlan.applyLocal`).
-    * `drawSample`, a seeded sample of at most `igSampleCap` original rows
+    * `drawSample`, a seeded sample of about `igSampleCap` original rows
     * drawn on first use, gives every bin edge and the scoring matrix.
     */
   sealed abstract class RowsEngine(val originalNames: Seq[String], rows: Rows, drawSample: => LocalMatrix)
       extends Engine {
+    require(originalNames.distinct == originalNames, s"duplicate feature names: ${originalNames.diff(originalNames.distinct).mkString(", ")}")
     private val generated = ArrayBuffer.empty[GenFeature]
     private lazy val sample: LocalMatrix = drawSample
     var gbdtParams: GbdtParams = GbdtParams()
@@ -116,6 +117,7 @@ object Safe {
       extends RowsEngine(initial.names.toSeq, Rows.Local(initial),
         if (initial.rows <= sampleCap) initial
         else initial.takeRows(new Random(seed).shuffle((0 until initial.rows).toList).take(sampleCap).toArray)) {
+    require(initial.rows > 0, "SAFE needs at least one row")
     /** `allNames` over every row of `initial`. */
     def current: LocalMatrix = plan(allNames).applyLocal(initial)
   }
@@ -124,11 +126,12 @@ object Safe {
     * local kernels on the frame's row blocks (`SparkRows.blocks`) in Spark
     * jobs that only count (GBDT histograms, IV bins, Pearson sums). Its
     * sample is collected on first use: the whole frame when N ≤ `sampleCap`,
-    * else a seeded `sample(cap / N)`.
+    * else a seeded Bernoulli `sample(cap / N)`, which may exceed the cap.
     */
   final class SparkEngine(df: DataFrame, labelCol: String, sampleCap: Int, seed: Long)
       extends RowsEngine(SparkRows.featureNames(df, labelCol).toSeq, Rows.Blocks(SparkRows.blocks(df, labelCol)), {
         val n = df.count()
+        require(n > 0, "SAFE needs at least one row")
         val rows = if (n <= sampleCap) df else df.sample(withReplacement = false, sampleCap.toDouble / n, seed)
         LocalMatrix.fromDF(rows, labelCol)
       })

@@ -19,11 +19,12 @@ import org.apache.spark.sql.types.{DoubleType, StructField, StructType}
   * @param names   column name per feature, length M
   * @param columns M feature columns of `rows` values each (finite; generation
   *                guards NaN/Inf)
-  * @param y       labels in {0.0, 1.0}, length rows
+  * @param y       labels in {0.0, 1.0} (checked), length rows
   */
 final class LocalMatrix(val names: Array[String], columns: Array[Array[Double]], val y: Array[Double]) {
   require(columns.length == names.length, s"names=${names.length} columns=${columns.length}")
   require(columns.forall(_.length == y.length), s"every column needs ${y.length} rows (one per label)")
+  require(LocalMatrix.binary(y), s"labels must be 0.0 or 1.0, got ${y.find(v => v != 0.0 && v != 1.0).get}")
 
   def rows: Int = y.length
   def cols: Int = names.length
@@ -52,31 +53,39 @@ final class LocalMatrix(val names: Array[String], columns: Array[Array[Double]],
     *
     * With k = clamp(rows / 1000, 1, 8) partitions, partition p holds rows
     * [p·rows/k, (p+1)·rows/k) in order, as `parallelize` over the rows would
-    * place them. Each partition is one chunk of primitive column slices, and
-    * its rows are built on the executors: the parallelized collection travels
-    * inside every task of every job that reads the frame, and boxed rows made
-    * those tasks slow to deserialise.
+    * place them. Each partition is one chunk of primitive column slices (the
+    * label last), and its rows are built on the executors by `chunkRows`:
+    * the parallelized collection travels inside every task of every job that
+    * reads the frame, and boxed rows made those tasks slow to deserialise.
     */
   def toDF(spark: SparkSession): DataFrame = {
-    val schema = StructType(
-      names.map(n => StructField(n, DoubleType, nullable = false)) :+
-        StructField("label", DoubleType, nullable = false))
     val k = math.max(1, math.min(8, rows / 1000))
+    val withLabel = columns :+ y
     val chunks = (0 until k).map { p =>
       val from = (p.toLong * rows / k).toInt
       val until = ((p + 1).toLong * rows / k).toInt
-      (columns.map(java.util.Arrays.copyOfRange(_, from, until)), java.util.Arrays.copyOfRange(y, from, until))
+      withLabel.map(java.util.Arrays.copyOfRange(_, from, until))
     }
-    spark.createDataFrame(spark.sparkContext.parallelize(chunks, k).flatMap(LocalMatrix.chunkRows), schema)
+    val data = spark.sparkContext.parallelize(chunks, k).flatMap(c => LocalMatrix.chunkRows(c, c.last.length))
+    spark.createDataFrame(data, LocalMatrix.schema(names.toSeq :+ "label"))
   }
 }
 
 object LocalMatrix {
 
-  /** The rows of a `toDF` chunk: its features, then the label. */
-  private def chunkRows(chunk: (Array[Array[Double]], Array[Double])): Iterator[Row] = {
-    val (cols, labels) = chunk
-    Iterator.tabulate(labels.length)(i => Row.fromSeq(cols.map(_(i)).toSeq :+ labels(i)))
+  /** `names` as non-null doubles: the schema of `toDF` and `FeaturePlan.transform`. */
+  private[repro] def schema(names: Seq[String]): StructType =
+    StructType(names.map(StructField(_, DoubleType, nullable = false)))
+
+  /** The `n` rows of column slices of `n` values: row i holds each slice's value i. */
+  private[repro] def chunkRows(cols: Array[Array[Double]], n: Int): Iterator[Row] =
+    Iterator.tabulate(n)(i => Row.fromSeq(cols.map(_(i)).toSeq))
+
+  /** Whether every label is 0.0 or 1.0: one pass, no allocation. */
+  private def binary(y: Array[Double]): Boolean = {
+    var i = 0
+    while (i < y.length && (y(i) == 0.0 || y(i) == 1.0)) i += 1
+    i == y.length
   }
 
   /** From row-major values: `x` is rows × M. */

@@ -17,10 +17,11 @@ object SparkRows {
     */
   private val BlockRows = 4096
 
-  /** `df`'s feature columns (every column but `labelCol`) in frame order. */
+  /** `df`'s feature columns (every column but `labelCol`), distinct, in frame order. */
   def featureNames(df: DataFrame, labelCol: String): Array[String] = {
     val names = df.columns.filter(_ != labelCol)
     require(names.length == df.columns.length - 1, s"label column '$labelCol' not found")
+    require(names.distinct.length == names.length, s"duplicate feature names: ${names.diff(names.distinct).mkString(", ")}")
     names
   }
 
@@ -41,7 +42,7 @@ object SparkRows {
 
   /** The one cell decode: rows of `doubles` into a column-major matrix.
     * Feature cells that are null or non-finite read as 0; a null label reads
-    * as 0 and other labels pass through.
+    * as 0, and any other label must be 0 or 1 (`LocalMatrix` checks it).
     */
   private[ml] def decode(names: Array[String], rows: collection.Seq[Row]): LocalMatrix = {
     val m = names.length

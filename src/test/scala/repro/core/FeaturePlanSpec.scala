@@ -1,8 +1,9 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import repro.{Oracle, SparkSpec, TestData}
 import repro.core.Operators._
-import repro.ml.LocalMatrix
+import repro.ml.{LocalMatrix, SparkRows}
 
 class FeaturePlanSpec extends SparkSpec {
 
@@ -40,15 +41,45 @@ class FeaturePlanSpec extends SparkSpec {
     assert(out.y.sameElements(mat.y))
   }
 
+  /** Every value as raw bits, row by row: `m`'s with its label last, or `df`'s rows. */
+  private def bits(m: LocalMatrix): Seq[Seq[Long]] = (0 until m.rows).map(i => raw(m.x(i) :+ m.y(i)))
+  private def bits(df: DataFrame): Seq[Seq[Long]] = df.collect().toSeq.map(r => raw(Array.tabulate(r.length)(r.getDouble)))
+  private def raw(values: Array[Double]): Seq[Long] = values.toSeq.map(java.lang.Double.doubleToRawLongBits)
+
   test("transform (Catalyst) agrees with applyLocal row-for-row") {
     val plan = FeaturePlan(Seq(g1, g2, g3), keep = Seq("x0", g2.name, g3.name))
     val local = plan.applyLocal(mat)
     val df = plan.transform(mat.toDF(spark))
-    val back = repro.ml.LocalMatrix.fromDF(df)
-    assert(back.names.sameElements(local.names))
-    val localSet = local.x.map(_.map(v => f"$v%.9f").mkString(",")).sorted
-    val sparkSet = back.x.map(_.map(v => f"$v%.9f").mkString(",")).sorted
-    assert(localSet.sameElements(sparkSet))
+    assert(df.columns.toSeq == plan.keep :+ "label")
+    assert(bits(df) == bits(local))
+  }
+
+  test("transform equals applyLocal on fromDF bit for bit over partitions of several blocks") {
+    // three partitions, the middle one of 9 000 rows (three blocks); some NaN inputs
+    val parts = Seq(300 -> 61, 9000 -> 62, 1500 -> 63).map { case (n, seed) =>
+      val m = TestData.planted(n, 4, seed)
+      val x = m.x.zipWithIndex.map { case (r, i) => if (i % 97 == 0) r.updated(1, Double.NaN) else r }
+      LocalMatrix(m.names, x, m.y).toDF(spark).coalesce(1)
+    }
+    val df = spark.createDataFrame(spark.sparkContext.union(parts.map(_.rdd)), parts.head.schema).cache()
+    assert(SparkRows.blocks(df).map(_.rows).collect().toSeq == Seq(300, 4096, 4096, 808, 1500))
+    val plan = FeaturePlan(Seq(g1, g3, g2), keep = Seq(g2.name, "x3", g1.name))
+    val expected = plan.applyLocal(LocalMatrix.fromDF(df))
+    assert(expected.rows == 10800)
+
+    val withLabel = plan.transform(df)
+    assert(withLabel.columns.toSeq == plan.keep :+ "label")
+    assert(bits(withLabel) == bits(expected))
+
+    val noLabel = plan.transform(df.drop("label"), labelCol = None)
+    assert(noLabel.columns.toSeq == plan.keep)
+    assert(bits(noLabel) == bits(expected).map(_.init))
+    df.unpersist()
+  }
+
+  test("transform rejects a missing input column on the driver") {
+    val plan = FeaturePlan(Seq(g1), keep = Seq(g1.name))
+    intercept[NoSuchElementException](plan.transform(mat.toDF(spark).drop("x1")))
   }
 
   test("local engine, batch, per-record and Catalyst Ψ agree value for value on a chained plan") {

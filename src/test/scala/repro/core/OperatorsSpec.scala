@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.functions.col
 import repro.{Oracle, SparkSpec}
 import repro.core.Operators._
 import repro.ml.LocalMatrix
@@ -20,33 +19,23 @@ class OperatorsSpec extends SparkSpec {
   /** Cast-wrapped source for DuckDB (oracle tables are VARCHAR). */
   private val ducked = "(SELECT CAST(a AS DOUBLE) AS a, CAST(b AS DOUBLE) AS b FROM t)"
 
-  private def checkBinaryOracle(op: BinaryOp): Unit = {
-    val sparkDf = df.select(op.column(col("a"), col("b")).as("r"))
-    Oracle.assertEquivalent(sparkDf, s"SELECT ${op.sql("a", "b")} AS r FROM $ducked", "t" -> df)
-  }
-
-  private def checkLocalVsColumn(op: BinaryOp): Unit = {
-    val expected = op.local(mat.column(0), mat.column(1)).sorted
-    val got = df.select(op.column(col("a"), col("b")).as("r")).collect().map(_.getDouble(0)).sorted
-    expected.zip(got).foreach { case (e, g) => assert(math.abs(e - g) < 1e-9, s"${op.name}: $e vs $g") }
-  }
+  /** `values` as a one-column frame `r`. */
+  private def frame(values: Array[Double]) =
+    new LocalMatrix(Array("r"), Array(values), new Array[Double](values.length)).toDF(spark).drop("label")
 
   for (op <- Seq(Add, Sub, Mul, Div, Vid)) {
-    test(s"${op.name}: Catalyst face matches DuckDB oracle") { checkBinaryOracle(op) }
-    test(s"${op.name}: local face matches Catalyst face") { checkLocalVsColumn(op) }
+    test(s"${op.name}: local face matches DuckDB oracle") {
+      Oracle.assertEquivalent(frame(op.local(mat.column(0), mat.column(1))),
+        s"SELECT ${op.sql("a", "b")} AS r FROM $ducked", "t" -> df)
+    }
   }
 
-  test("div guards zero denominators to 0 on all three faces") {
+  test("div guards zero denominators to 0 on the local and SQL faces") {
     val m = LocalMatrix(Array("a", "b"), Array(Array(5.0, 0.0), Array(6.0, 2.0)), Array(0.0, 0.0))
     val localVals = Div.local(m.column(0), m.column(1))
     assert(localVals(0) == 0.0 && localVals(1) == 3.0)
-    val d = m.toDF(spark).drop("label")
-    val sparkVals = d.select(Div.column(col("a"), col("b")).as("r")).collect().map(_.getDouble(0)).sorted
-    assert(sparkVals.sameElements(Array(0.0, 3.0)))
-    Oracle.assertEquivalent(
-      d.select(Div.column(col("a"), col("b")).as("r")),
-      s"SELECT ${Div.sql("a", "b")} AS r FROM (SELECT CAST(a AS DOUBLE) AS a, CAST(b AS DOUBLE) AS b FROM t)",
-      "t" -> d)
+    Oracle.assertEquivalent(frame(localVals),
+      s"SELECT ${Div.sql("a", "b")} AS r FROM $ducked", "t" -> m.toDF(spark).drop("label"))
   }
 
   test("vid is div with swapped operands") {
@@ -56,14 +45,8 @@ class OperatorsSpec extends SparkSpec {
   }
 
   for (op <- allUnary) {
-    test(s"unary ${op.name}: local face matches Catalyst face") {
-      val expected = op.local(mat.column(0)).sorted
-      val got = df.select(op.column(col("a")).as("r")).collect().map(_.getDouble(0)).sorted
-      expected.zip(got).foreach { case (e, g) => assert(math.abs(e - g) < 1e-9) }
-    }
-    test(s"unary ${op.name}: Catalyst face matches DuckDB oracle") {
-      val sparkDf = df.select(op.column(col("a")).as("r"))
-      Oracle.assertEquivalent(sparkDf, s"SELECT ${op.sql("a")} AS r FROM $ducked", "t" -> df)
+    test(s"unary ${op.name}: local face matches DuckDB oracle") {
+      Oracle.assertEquivalent(frame(op.local(mat.column(0))), s"SELECT ${op.sql("a")} AS r FROM $ducked", "t" -> df)
     }
   }
 

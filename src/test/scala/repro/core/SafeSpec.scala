@@ -1,5 +1,7 @@
 package repro.core
 
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.types.{DoubleType, StructField, StructType}
 import repro.{SparkSpec, TestData}
 import repro.ml.{Binning, Gbdt, GbdtParams, Linear, LocalMatrix, Metrics, Rows}
 
@@ -188,5 +190,36 @@ class SafeSpec extends SparkSpec {
     val out = res.plan.transform(one, labelCol = None)
     assert(out.count() == 1)
     assert(out.columns.length == res.plan.width)
+  }
+
+  /** `m`'s rows with labels `y` and feature names `names`, as a frame. */
+  private def frame(names: Seq[String], m: LocalMatrix, y: Array[Double]): DataFrame = {
+    val schema = StructType((names :+ "label").map(StructField(_, DoubleType)))
+    spark.createDataFrame(spark.sparkContext.parallelize(m.x.indices.map(i => Row.fromSeq(m.x(i).toSeq :+ y(i))), 2), schema)
+  }
+
+  /** Asserts that `fit` fails with an `IllegalArgumentException` that names `problem`. */
+  private def rejects(problem: String)(fit: => Any): Unit = {
+    val e = intercept[IllegalArgumentException](fit)
+    assert(e.getMessage.contains(problem), e.getMessage)
+  }
+
+  test("both engines reject an empty training set") {
+    val empty = train.takeRows(Array.emptyIntArray)
+    rejects("at least one row")(Safe.fitLocal(empty, fastCfg))
+    rejects("at least one row")(Safe.fitSpark(empty.toDF(spark), "label", fastCfg))
+  }
+
+  test("both engines reject labels other than 0 and 1") {
+    val y = train.y.map(_ * 2)
+    rejects("labels must be 0.0 or 1.0")(Safe.fitLocal(LocalMatrix(train.names, train.x, y), fastCfg))
+    rejects("labels must be 0.0 or 1.0")(Safe.fitSpark(frame(train.names.toSeq, train, y), "label", fastCfg))
+  }
+
+  test("both engines reject duplicate feature names before fitting") {
+    val names = train.names.toSeq.updated(3, "x1")
+    rejects("duplicate feature names: x1")(
+      Safe.fitLocal(new LocalMatrix(names.toArray, Array.tabulate(train.cols)(train.column), train.y), fastCfg))
+    rejects("duplicate feature names: x1")(Safe.fitSpark(frame(names, train, train.y), "label", fastCfg))
   }
 }

@@ -55,6 +55,15 @@ class LocalMatrixSpec extends SparkSpec {
     }
   }
 
+  test("labels other than 0.0 and 1.0 are rejected, also when decoded from a frame") {
+    Seq(2.0, -1.0, 0.5, Double.NaN).foreach { bad =>
+      intercept[IllegalArgumentException](new LocalMatrix(Array("a"), Array(Array(1.0, 2.0)), Array(1.0, bad)))
+    }
+    assert(new LocalMatrix(Array("a"), Array(Array(1.0, 2.0)), Array(-0.0, 1.0)).rows == 2)
+    val df = sample.toDF(spark).withColumn("label", org.apache.spark.sql.functions.col("label") * 3)
+    intercept[IllegalArgumentException](LocalMatrix.fromDF(df))
+  }
+
   test("toDF/fromDF roundtrip preserves values, names and labels") {
     val df = sample.toDF(spark)
     assert(df.columns.sameElements(Array("a", "b", "c", "label")))
