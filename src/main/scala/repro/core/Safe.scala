@@ -45,9 +45,10 @@ final case class SafeResult(plan: FeaturePlan, reports: Seq[IterationReport])
   * column-major `LocalMatrix` on the driver (benchmark-grid fast path),
   * `SparkEngine` keeps rows distributed (business-scale path). For
   * N ≤ `igSampleCap` both engines' samples are every row, so `fitSpark`'s
-  * plan equals `fitLocal`'s (generated features and keep order) unless a
-  * split gain, importance or |ρ| ties within merge-order rounding. For
-  * N > cap they draw different samples, so the kept sets overlap but may
+  * plan equals `fitLocal`'s (generated features and keep order): GBDT
+  * histograms and IV counts are exact sums, and only Pearson sums differ, in
+  * their last bits, so only a |ρ| that close to θ could split the plans.
+  * For N > cap they draw different samples, so the kept sets overlap but may
   * differ (`SafeSpec` tests both).
   */
 object Safe {

@@ -132,10 +132,6 @@ object Binning {
     if (!(v <= edges(base))) base + 1 else base
   }
 
-  /** Bin codes of one raw row under per-column `edges`. */
-  def binRow(row: Array[Double], edges: Array[Array[Double]]): Array[Byte] =
-    Array.tabulate(edges.length)(j => binOf(row(j), edges(j)).toByte)
-
   /** Per-bin (pos, neg) label counts of `values` under `edges`. */
   def classCounts(values: Array[Double], labels: Array[Double],
                   edges: Array[Double]): (Array[Double], Array[Double]) =

@@ -16,8 +16,10 @@ final case class CartParams(
 
 /** A fitted CART; reuses the GBDT node encoding with leaf weight = P(y=1). */
 final case class CartModel(nodes: Array[Node], edges: Array[Array[Double]]) {
-  def predictProba(row: Array[Double]): Double = TreeOps.predict(nodes, Binning.binRow(row, edges))
-  def predictProba(m: LocalMatrix): Array[Double] = m.x.map(predictProba)
+  /** P(y = 1) of each row of `m`, binned once with the training-time edges. */
+  def predictProba(m: LocalMatrix): Array[Double] = predictBinned(Binning.applyLocal(m, edges))
+  /** P(y = 1) of rows already binned with `edges`. */
+  def predictBinned(bins: Array[Array[Byte]]): Array[Double] = bins.map(TreeOps.predict(nodes, _))
 }
 
 /** Weighted gini-impurity decision tree over histogram bins — the substrate
@@ -84,7 +86,6 @@ object Cart {
           } else 0 until (binCounts(f) - 1)
         var swL = 0.0; var swyL = 0.0; var nL = 0
         var b = 0
-        var ti = 0
         // walk cumulative sums; evaluate only at requested thresholds
         while (b < binCounts(f) - 1) {
           swL += histW(b); swyL += histWy(b); nL += histN(b)
@@ -96,7 +97,7 @@ object Cart {
               if (dec > bestDec) { bestDec = dec; bestFeat = f; bestBin = b }
             }
           }
-          b += 1; ti += 1
+          b += 1
         }
       }
       if (bestFeat < 0) return makeLeaf()

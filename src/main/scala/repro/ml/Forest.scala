@@ -12,40 +12,36 @@ object Forest {
       numTrees: Int = 20,
       maxDepth: Int = 10,
       minSamplesLeaf: Int = 2,
-      maxBins: Int = 32,
-      bootstrap: Boolean = true,
-      randomThresholds: Boolean = false)
+      maxBins: Int = 32)
 
-  final case class ForestModel(trees: Array[CartModel]) {
+  /** Every tree was fitted under `edges`, so rows are binned once for all. */
+  final case class ForestModel(trees: Array[CartModel], edges: Array[Array[Double]]) {
     def predictProba(m: LocalMatrix): Array[Double] = {
-      val acc = new Array[Double](m.rows)
-      trees.foreach { t =>
-        val p = t.predictProba(m)
-        var i = 0
-        while (i < acc.length) { acc(i) += p(i); i += 1 }
-      }
-      acc.map(_ / trees.length)
+      val bins = Binning.applyLocal(m, edges)
+      val p = trees.map(_.predictBinned(bins))
+      Array.tabulate(m.rows)(i => p.foldLeft(0.0)(_ + _(i)) / trees.length)
     }
   }
 
   def fitRandomForest(m: LocalMatrix, params: ForestParams = ForestParams(), seed: Long = 0): ForestModel =
-    fit(m, params.copy(bootstrap = true, randomThresholds = false), seed)
+    fit(m, params, seed, bootstrap = true, randomThresholds = false)
 
   def fitExtraTrees(m: LocalMatrix, params: ForestParams = ForestParams(), seed: Long = 0): ForestModel =
-    fit(m, params.copy(bootstrap = false, randomThresholds = true), seed)
+    fit(m, params, seed, bootstrap = false, randomThresholds = true)
 
-  private def fit(m: LocalMatrix, params: ForestParams, seed: Long): ForestModel = {
+  private def fit(m: LocalMatrix, params: ForestParams, seed: Long,
+                  bootstrap: Boolean, randomThresholds: Boolean): ForestModel = {
     val edges = Binning.fitLocal(m, params.maxBins)
     val bins = Binning.applyLocal(m, edges)
     val mtry = math.max(1, math.round(math.sqrt(m.cols.toDouble)).toInt)
     val cartParams = CartParams(
       maxDepth = params.maxDepth, minSamplesLeaf = params.minSamplesLeaf,
       maxBins = params.maxBins, featureSubset = Some(mtry),
-      randomThresholds = params.randomThresholds)
+      randomThresholds = randomThresholds)
     val rng = new Random(seed)
     val trees = Array.fill(params.numTrees) {
       val treeSeed = rng.nextLong()
-      if (params.bootstrap) {
+      if (bootstrap) {
         val bootRng = new Random(treeSeed)
         val idx = Array.fill(m.rows)(bootRng.nextInt(m.rows))
         Cart.fitBinned(idx.map(bins), idx.map(m.y), edges, cartParams, None, treeSeed)
@@ -53,7 +49,7 @@ object Forest {
         Cart.fitBinned(bins, m.y, edges, cartParams, None, treeSeed)
       }
     }
-    ForestModel(trees)
+    ForestModel(trees, edges)
   }
 }
 
@@ -64,12 +60,14 @@ object AdaBoost {
 
   final case class AdaParams(rounds: Int = 30, stumpDepth: Int = 2, maxBins: Int = 32)
 
-  final case class AdaModel(stumps: Array[(CartModel, Double)]) {
+  /** Every stump was fitted under `edges`, so rows are binned once for all. */
+  final case class AdaModel(stumps: Array[(CartModel, Double)], edges: Array[Array[Double]]) {
     /** Signed boosting margin, monotone in P(y=1) — valid AUC score. */
     def predictScore(m: LocalMatrix): Array[Double] = {
+      val bins = Binning.applyLocal(m, edges)
       val acc = new Array[Double](m.rows)
       stumps.foreach { case (t, alpha) =>
-        val p = t.predictProba(m)
+        val p = t.predictBinned(bins)
         var i = 0
         while (i < acc.length) { acc(i) += alpha * (if (p(i) > 0.5) 1.0 else -1.0); i += 1 }
       }
@@ -88,7 +86,7 @@ object AdaBoost {
     var stop = false
     while (r < params.rounds && !stop) {
       val tree = Cart.fitBinned(bins, m.y, edges, cartParams, Some(w), seed + r)
-      val probs = m.x.map(tree.predictProba)
+      val probs = tree.predictBinned(bins)
       val preds = probs.map(p => if (p > 0.5) 1.0 else 0.0)
       var err = 0.0
       var i = 0
@@ -110,6 +108,6 @@ object AdaBoost {
       }
       r += 1
     }
-    AdaModel(stumps.toArray)
+    AdaModel(stumps.toArray, edges)
   }
 }

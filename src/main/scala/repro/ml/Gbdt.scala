@@ -28,11 +28,9 @@ final case class GbdtModel(
     names: Array[String],
     params: GbdtParams) {
 
-  /** P(y = 1) of one raw row, binned with the model's training-time edges. */
-  def predictProba(row: Array[Double]): Double =
-    Metrics.sigmoid(TreeOps.margin(trees, Binning.binRow(row, edges)))
-
-  def predictProba(m: LocalMatrix): Array[Double] = m.x.map(predictProba)
+  /** P(y = 1) of each row of `m`, binned once with the model's training-time edges. */
+  def predictProba(m: LocalMatrix): Array[Double] =
+    Binning.applyLocal(m, edges).map(b => Metrics.sigmoid(TreeOps.margin(trees, b)))
 
   /** Features that split at least once (the paper's "split features"). */
   def splitFeatures: Array[Int] =
@@ -89,7 +87,7 @@ object Gbdt {
     * `edges`. Driver rows are binned into a `LocalHist`. Spark blocks are
     * binned with `Binning.applyLocal` inside their tasks, and the binned rows
     * are cached for the `SparkHist` passes; under the same edges the trees
-    * are the driver's up to merge-order rounding.
+    * are the driver's.
     */
   def fit(rows: Rows, names: Array[String], edges: Array[Array[Double]], params: GbdtParams): GbdtModel =
     rows match {
@@ -102,53 +100,47 @@ object Gbdt {
         finally binned.unpersist(blocking = false)
     }
 
-  /** Core level-wise trainer over any backend: one `histograms` call per
-    * level of each tree. Below max depth it asks for every feature and
-    * scans them for the best split. At max depth every frontier node becomes
-    * a leaf, so it asks for feature 0 only (the first entry of `offsets`, one
-    * feature's bins) and reads nothing but that node's (G, H) totals; each
-    * bin of feature 0 still sums the same rows in the same order, so the
-    * leaves are the same doubles.
+  /** Core level-wise trainer over any backend: one `histograms` call over
+    * every feature per level of each tree, so a tree that reaches max depth
+    * takes `maxDepth` passes. A split at depth `maxDepth − 1` makes its
+    * children leaves at once, from the (G_L, H_L) its scan summed and the
+    * parent's (G − G_L, H − H_L): the sums are exact (`HistBackend.exact`),
+    * so these are the children's own totals. That needs fewer than 2^23 rows.
     */
   def train(backend: HistBackend, edges: Array[Array[Double]],
             names: Array[String], params: GbdtParams): GbdtModel = {
+    require(backend.numRows < (1L << 23), s"exact histogram sums need fewer than 2^23 rows, got ${backend.numRows}")
     val binCounts = Binning.binCounts(edges)
     val offsets = binCounts.scanLeft(0)(_ + _).dropRight(1)
     val totalBins = binCounts.sum
     val trees = ArrayBuffer.empty[Array[Node]]
+    def leaf(g: Double, h: Double): Node = Node.leaf(-params.eta * g / (h + params.lambda), h)
 
     var t = 0
     while (t < params.numTrees) {
       val partial = ArrayBuffer[Node](Node.pending)
       var depth = 0
-      var anyPending = true
-      while (anyPending) {
-        val pending = partial.indices.filter(partial(_).feature == Node.Pending).toArray
-        if (pending.isEmpty) { anyPending = false }
-        else {
-          val atMaxDepth = depth >= params.maxDepth
-          val (g, h) =
-            if (atMaxDepth) backend.histograms(trees.toArray, partial.toArray, pending, offsets.take(1), binCounts(0))
-            else backend.histograms(trees.toArray, partial.toArray, pending, offsets, totalBins)
-          var k = 0
-          while (k < pending.length) {
-            val nodeId = pending(k)
-            val (gTot, hTot) = totals(g(k), h(k), offsets, binCounts, 0)
-            val split = if (atMaxDepth) None
-                        else bestSplit(g(k), h(k), offsets, binCounts, gTot, hTot, params)
-            split match {
-              case Some((feat, bin, gain)) =>
-                val li = partial.length
-                partial += Node.pending
-                partial += Node.pending
-                partial(nodeId) = Node(feat, bin, li, li + 1, 0.0, gain, hTot)
-              case None =>
-                partial(nodeId) = Node.leaf(-params.eta * gTot / (hTot + params.lambda), hTot)
-            }
-            k += 1
+      var pending = Array(0)
+      while (pending.nonEmpty) {
+        val (g, h) = backend.histograms(trees.toArray, partial.toArray, pending, offsets, totalBins)
+        val lastLevel = depth == params.maxDepth - 1
+        var k = 0
+        while (k < pending.length) {
+          val nodeId = pending(k)
+          val (gTot, hTot) = totals(g(k), h(k), binCounts(0))
+          bestSplit(g(k), h(k), offsets, binCounts, gTot, hTot, params) match {
+            case Some(s) =>
+              val li = partial.length
+              partial += (if (lastLevel) leaf(s.gl, s.hl) else Node.pending)
+              partial += (if (lastLevel) leaf(gTot - s.gl, hTot - s.hl) else Node.pending)
+              partial(nodeId) = Node(s.feature, s.bin, li, li + 1, 0.0, s.gain, hTot)
+            case None =>
+              partial(nodeId) = leaf(gTot, hTot)
           }
-          depth += 1
+          k += 1
         }
+        pending = partial.indices.filter(partial(_).feature == Node.Pending).toArray
+        depth += 1
       }
       trees += partial.toArray
       t += 1
@@ -156,24 +148,26 @@ object Gbdt {
     GbdtModel(trees.toArray, edges, names, params)
   }
 
-  /** Sum (G, H) of one node from any single feature's histogram row. */
-  private def totals(g: Array[Double], h: Array[Double],
-                     offsets: Array[Int], binCounts: Array[Int], feat: Int): (Double, Double) = {
+  /** Sum (G, H) of one node over the first feature's `bins0` bins. */
+  private def totals(g: Array[Double], h: Array[Double], bins0: Int): (Double, Double) = {
     var gs = 0.0; var hs = 0.0
     var b = 0
-    while (b < binCounts(feat)) { gs += g(offsets(feat) + b); hs += h(offsets(feat) + b); b += 1 }
+    while (b < bins0) { gs += g(b); hs += h(b); b += 1 }
     (gs, hs)
   }
 
-  /** Best (feature, binThr, gain) for a node, or None if nothing clears the
-    * gain / min-child-hessian bars. Gain is the standard second-order
-    * formula ½[G_L²/(H_L+λ) + G_R²/(H_R+λ) − G²/(H+λ)].
+  /** Rows with `bin(feature) <= bin` go left; (gl, hl) is their (G, H). */
+  private final case class Split(feature: Int, bin: Int, gain: Double, gl: Double, hl: Double)
+
+  /** Best split of a node, or None if nothing clears the gain /
+    * min-child-hessian bars. Gain is the standard second-order formula
+    * ½[G_L²/(H_L+λ) + G_R²/(H_R+λ) − G²/(H+λ)].
     */
   private def bestSplit(g: Array[Double], h: Array[Double],
                         offsets: Array[Int], binCounts: Array[Int],
-                        gTot: Double, hTot: Double, params: GbdtParams): Option[(Int, Int, Double)] = {
+                        gTot: Double, hTot: Double, params: GbdtParams): Option[Split] = {
     val parentScore = gTot * gTot / (hTot + params.lambda)
-    var best: Option[(Int, Int, Double)] = None
+    var best: Option[Split] = None
     var bestGain = params.minSplitGain
     var f = 0
     while (f < binCounts.length) {
@@ -185,7 +179,7 @@ object Gbdt {
         if (hl >= params.minChildHess && hr >= params.minChildHess) {
           val gain = 0.5 * (gl * gl / (hl + params.lambda) +
                             gr * gr / (hr + params.lambda) - parentScore)
-          if (gain > bestGain) { bestGain = gain; best = Some((f, b, gain)) }
+          if (gain > bestGain) { bestGain = gain; best = Some(Split(f, b, gain, gl, hl)) }
         }
         b += 1
       }

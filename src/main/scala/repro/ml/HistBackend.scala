@@ -68,9 +68,10 @@ object TreeOps {
   * paper's single-machine benchmarks); the other holds an
   * `RDD[(Array[Byte], Double)]` and aggregates with `treeAggregate` — the
   * distributed path used for the business-scale tables. Both add the same
-  * per-row terms, but Spark's sums depend on the order in which partition
-  * partials are merged, so the two agree only up to rounding: `GbdtSpec`
-  * checks the trees they grow match split for split, with weights within 1e-9.
+  * per-row terms, each a multiple of 2^-30 (`HistBackend.exact`), so every
+  * sum over fewer than 2^23 rows is exact: the merge order of Spark's
+  * partition partials does not matter, and `GbdtSpec` checks that the two
+  * grow `==` trees.
   */
 trait HistBackend {
 
@@ -83,15 +84,11 @@ trait HistBackend {
     * has already seen (the same tree arrays, compared by reference) and fold
     * in only the trees after it, so finalized trees must not be mutated.
     *
-    * The trainer may ask for a prefix of the features (at max depth it asks
-    * for feature 0 alone): `offsets` then has one entry per requested
-    * feature and `totalBins` counts only their bins.
-    *
     * @param prevTrees finalized trees of the model so far
     * @param partial   nodes of the tree being grown (contains Pending nodes)
     * @param pending   ids of the Pending nodes (the frontier)
     * @param offsets   per-feature offset into the flat bin axis
-    * @param totalBins sum of the requested features' bin counts
+    * @param totalBins sum of the features' bin counts
     * @return (g, h): per frontier node, flat arrays indexed offsets(f)+bin
     */
   def histograms(
@@ -104,6 +101,15 @@ trait HistBackend {
 
 object HistBackend {
 
+  private val Q = 1.0 / (1 << 30)
+
+  /** `v` rounded to a multiple of Q = 2^-30. Fewer than 2^23 such values in
+    * [−1, 1] sum to a multiple of Q below 2^23, which a double holds exactly,
+    * so every order and grouping gives the same double (quantized GBDT
+    * training, Shi et al., NeurIPS 2022, at 30 bits for exactness).
+    */
+  private[ml] def exact(v: Double): Double = math.rint(v / Q) * Q
+
   /** Inverse map nodeId → frontier position (-1 elsewhere). */
   private[ml] def pendingPositions(partialLen: Int, pending: Array[Int]): Array[Int] = {
     val pos = Array.fill(partialLen)(-1)
@@ -115,8 +121,9 @@ object HistBackend {
   /** One row's step of a histogram pass, shared by both backends: route the
     * binned row to its frontier node and add its logistic gradient and
     * hessian at `margin` (the row's `TreeOps.margin` under the finalized
-    * trees) to that node's bins in `acc` (g in the first half, h in the
-    * second). Rows on a finished leaf add nothing. Allocation-free.
+    * trees), each rounded by `exact`, to that node's bins in `acc` (g in the
+    * first half, h in the second). The hessian is at least 2^-30, so it stays
+    * positive. Rows on a finished leaf add nothing. Allocation-free.
     */
   private[ml] def accumulate(
       acc: Array[Double], rowBins: Array[Byte], label: Double, margin: Double,
@@ -125,8 +132,8 @@ object HistBackend {
     val nodeId = TreeOps.routePending(partial, rowBins)
     if (nodeId >= 0) {
       val p = Metrics.sigmoid(margin)
-      val grad = p - label
-      val hess = math.max(p * (1.0 - p), 1e-16)
+      val grad = exact(p - label)
+      val hess = math.max(exact(p * (1.0 - p)), Q)
       val half = acc.length / 2
       val base = pendingPos(nodeId) * totalBins
       var f = 0
@@ -198,7 +205,8 @@ final class LocalHist(bins: Array[Array[Byte]], labels: Array[Double]) extends H
 }
 
 /** Distributed backend: binned rows live in an RDD, statistics are merged
-  * with `treeAggregate` so the driver only ever sees O(#nodes × #bins).
+  * with `treeAggregate` so the driver only ever sees O(#nodes × #bins); the
+  * sums are exact, so they are `LocalHist`'s doubles in any merge order.
   * Margins are recomputed in each pass: an RDD of margins rebuilt for every
   * tree measured slower than the re-scoring it saves (ROADMAP item 2).
   */

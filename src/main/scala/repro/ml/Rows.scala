@@ -12,8 +12,7 @@ sealed trait Rows {
   def map(f: LocalMatrix => LocalMatrix): Rows
 
   /** `add` folded over every matrix of rows into one array of `length`
-    * zeros: one call on the driver, or one `treeAggregate` whose partials
-    * are merged with `SparkRows.sumInto`.
+    * zeros: one call on the driver, or one Spark job (see `Blocks.sum`).
     */
   def sum(length: Int)(add: (Array[Double], LocalMatrix) => Unit): Array[Double]
 }
@@ -31,9 +30,17 @@ object Rows {
 
   final case class Blocks(blocks: RDD[LocalMatrix]) extends Rows {
     def map(f: LocalMatrix => LocalMatrix): Rows = Blocks(blocks.map(f))
+    /** One partial per partition, added on the driver in partition order:
+      * the same doubles from run to run, which differ from the driver's single
+      * chain in the last bits. Each partial is at most a few hundred KB, so
+      * they are collected; for thousands of partitions a fixed-shape tree
+      * folded in index order would be the choice.
+      */
     def sum(length: Int)(add: (Array[Double], LocalMatrix) => Unit): Array[Double] =
-      blocks.treeAggregate(new Array[Double](length))(
-        seqOp = { (acc, b) => add(acc, b); acc },
-        combOp = SparkRows.sumInto)
+      blocks.mapPartitions { it =>
+        val acc = new Array[Double](length)
+        it.foreach(add(acc, _))
+        Iterator.single(acc)
+      }.collect().foldLeft(new Array[Double](length))(SparkRows.sumInto)
   }
 }

@@ -8,7 +8,7 @@ import org.apache.spark.sql.types.DoubleType
 /** How the program reads Spark rows: the one cell decode, shared by
   * `LocalMatrix.fromDF` and by the row blocks every distributed statistic
   * (GBDT histograms, IV, Pearson) runs the local kernels on, and the one
-  * merge of their `treeAggregate` sums.
+  * merge of their partial sums.
   */
 object SparkRows {
 
@@ -65,7 +65,7 @@ object SparkRows {
     if (java.lang.Double.isFinite(v)) v else 0.0
   }
 
-  /** Adds `b` into `a` elementwise and returns `a` (every `combOp`). */
+  /** Adds `b` into `a` elementwise and returns `a` (every merge of partials). */
   def sumInto(a: Array[Double], b: Array[Double]): Array[Double] = {
     var i = 0
     while (i < a.length) { a(i) += b(i); i += 1 }

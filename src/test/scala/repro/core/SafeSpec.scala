@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.types.{DoubleType, StructField, StructType}
 import repro.{SparkSpec, TestData}
+import repro.data.SynthClass
 import repro.ml.{Binning, Gbdt, GbdtParams, Linear, LocalMatrix, Metrics, Rows}
 
 class SafeSpec extends SparkSpec {
@@ -156,6 +157,23 @@ class SafeSpec extends SparkSpec {
     }
     // the second case reaches the ranking GBDT: more survive Pearson than the cap keeps
     assert(reports(1).afterCorr > reports(1).selected, reports(1))
+  }
+
+  // Data2's redundant copies tie in split gain to ~1e-15, so a GBDT sum that
+  // depended on the merge order of Spark's partials would break the ties
+  // differently from fit to fit.
+  test("fitSpark grows fitLocal's plan in each of three fits of a Data2 look-alike") {
+    val spec = SynthClass.specByName("Data2").copy(nTrain = 4000, nValid = 0, nTest = 1000, posRate = 0.10)
+    val m = SynthClass.generate(spec, 2).train
+    val df = m.toDF(spark).cache()
+    df.count()
+    try {
+      val local = Safe.fitLocal(m, SafeConfig()).plan
+      (1 to 3).foreach { run =>
+        val dist = Safe.fitSpark(df, "label", SafeConfig()).plan
+        assert(dist.generated == local.generated && dist.keep == local.keep, s"fit $run")
+      }
+    } finally df.unpersist()
   }
 
   test("the local engine takes IV and GBDT edges from its sample when N exceeds the cap") {

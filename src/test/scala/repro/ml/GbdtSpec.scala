@@ -2,6 +2,8 @@ package repro.ml
 
 import org.apache.spark.ml.classification.GBTClassifier
 import org.apache.spark.ml.linalg.{Vector, Vectors}
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.util.Pretty
 import repro.{SparkSpec, TestData}
 
 /** `LocalHist` without the margin cache: every pass re-scores each row under
@@ -26,16 +28,12 @@ private final class RescoringHist(bins: Array[Array[Byte]], labels: Array[Double
   }
 }
 
-/** A `LocalHist` that records, per `histograms` call, the depth of its
-  * frontier and how many features and bins were asked for. A call narrowed to
-  * a prefix of the features is also checked against the full histograms.
+/** A `LocalHist` that records, per `histograms` call, how many features and
+  * bins were asked for.
   */
-private final class RecordingHist(bins: Array[Array[Byte]], labels: Array[Double], fullOffsets: Array[Int],
-                                  fullBins: Int) extends HistBackend {
+private final class RecordingHist(bins: Array[Array[Byte]], labels: Array[Double]) extends HistBackend {
   private val inner = new LocalHist(bins, labels)
-  private val reference = new LocalHist(bins, labels)
-  val calls = scala.collection.mutable.ArrayBuffer.empty[(Int, Int, Int)] // (depth, features, bins)
-  var prefixMatches = true
+  val calls = scala.collection.mutable.ArrayBuffer.empty[(Int, Int)] // (features, bins)
 
   override def numRows: Long = inner.numRows
 
@@ -45,19 +43,8 @@ private final class RecordingHist(bins: Array[Array[Byte]], labels: Array[Double
       pending: Array[Int],
       offsets: Array[Int],
       totalBins: Int): (Array[Array[Double]], Array[Array[Double]]) = {
-    val parent = Array.fill(partial.length)(-1)
-    partial.indices.foreach { i => if (partial(i).feature >= 0) { parent(partial(i).left) = i; parent(partial(i).right) = i } }
-    var depth = 0
-    var i = pending.head
-    while (parent(i) >= 0) { i = parent(i); depth += 1 }
-    calls += ((depth, offsets.length, totalBins))
-    val (g, h) = inner.histograms(prevTrees, partial, pending, offsets, totalBins)
-    if (offsets.length < fullOffsets.length) {
-      val (gFull, hFull) = reference.histograms(prevTrees, partial, pending, fullOffsets, fullBins)
-      prefixMatches &&= g.indices.forall(k => g(k).toSeq == gFull(k).take(totalBins).toSeq &&
-        h(k).toSeq == hFull(k).take(totalBins).toSeq)
-    }
-    (g, h)
+    calls += ((offsets.length, totalBins))
+    inner.histograms(prevTrees, partial, pending, offsets, totalBins)
   }
 }
 
@@ -138,7 +125,7 @@ class GbdtSpec extends SparkSpec {
     val model = Gbdt.fit(m, GbdtParams(numTrees = 3))
     // constant feature → no splits → all trees single leaves
     assert(model.paths.isEmpty)
-    val p = model.predictProba(Array(1.0))
+    val p = model.predictProba(m).head
     assert(p > 0.0 && p < 0.5) // prior is 20% positive
   }
 
@@ -151,33 +138,29 @@ class GbdtSpec extends SparkSpec {
     assert(aucLarge > aucSmall, s"small=$aucSmall large=$aucLarge")
   }
 
-  test("binRow respects training edges") {
+  test("predictProba bins each row with the model's training edges") {
     val model = Gbdt.fit(xorTrain, GbdtParams(numTrees = 2, maxBins = 8))
-    val bins = Binning.binRow(Array(-100.0, 0.0, 100.0), model.edges)
+    val m = LocalMatrix(xorTrain.names, Array(Array(-100.0, 0.0, 100.0)), Array(0.0))
+    val bins = Binning.applyLocal(m, model.edges).head
     assert((bins(0) & 0xff) == 0)
     assert((bins(2) & 0xff) == model.edges(2).length) // top bin
+    assert(model.predictProba(m).head == Metrics.sigmoid(TreeOps.margin(model.trees, bins)))
   }
+
+  private def treesOf(m: GbdtModel): Seq[Seq[Node]] = m.trees.map(_.toSeq).toSeq
 
   test("SparkHist backend produces node-identical trees to LocalHist on shared bins") {
     val train = TestData.planted(400, 4, seed = 8)
     val params = GbdtParams(numTrees = 5, maxDepth = 3, maxBins = 16)
     val edges = Binning.fitLocal(train, params.maxBins)
     val bins = Binning.applyLocal(train, edges)
-    val local = Gbdt.train(new LocalHist(bins, train.y), edges, train.names, params)
-    val rdd = spark.sparkContext.parallelize(bins.zip(train.y).toIndexedSeq, 4)
-    val dist = Gbdt.train(new SparkHist(rdd), edges, train.names, params)
-    assert(local.trees.length == dist.trees.length)
-    local.trees.zip(dist.trees).foreach { case (a, b) =>
-      assert(a.length == b.length)
-      a.zip(b).foreach { case (na, nb) =>
-        assert(na.feature == nb.feature && na.binThr == nb.binThr)
-        assert(math.abs(na.weight - nb.weight) < 1e-9)
-        assert(math.abs(na.gain - nb.gain) < 1e-7)
-      }
+    val local = treesOf(Gbdt.train(new LocalHist(bins, train.y), edges, train.names, params))
+    assert(local.map(_.length).sum > 5 * 3, "trees should split")
+    Seq(4, 13).foreach { parts =>
+      val rdd = spark.sparkContext.parallelize(bins.zip(train.y).toIndexedSeq, parts)
+      assert(treesOf(Gbdt.train(new SparkHist(rdd), edges, train.names, params)) == local, s"$parts partitions")
     }
   }
-
-  private def treesOf(m: GbdtModel): Seq[Seq[Node]] = m.trees.map(_.toSeq).toSeq
 
   test("LocalHist's cached margins grow the same nodes as re-scoring every row") {
     val train = TestData.planted(700, 5, seed = 12)
@@ -202,22 +185,73 @@ class GbdtSpec extends SparkSpec {
     }
   }
 
-  test("the last level asks for feature 0's histogram only, in the same number of calls") {
+  test("a tree takes maxDepth passes over every feature, and its deepest leaves come from the parent's scan") {
     val train = TestData.planted(700, 5, seed = 12)
     val params = GbdtParams()
     val edges = Binning.fitLocal(train, params.maxBins)
     val bins = Binning.applyLocal(train, edges)
     val counts = Binning.binCounts(edges)
-    val rec = new RecordingHist(bins, train.y, counts.scanLeft(0)(_ + _).dropRight(1), counts.sum)
-    Gbdt.train(rec, edges, train.names, params)
-    // 20 trees x 4 levels: every tree reaches max depth.
-    assert(rec.calls.length == 80)
-    rec.calls.foreach { case (depth, features, totalBins) =>
-      if (depth == params.maxDepth) assert(features == 1 && totalBins == counts(0), s"depth $depth")
-      else assert(features == counts.length && totalBins == counts.sum, s"depth $depth")
+    val rec = new RecordingHist(bins, train.y)
+    val model = Gbdt.train(rec, edges, train.names, params)
+    // 20 trees x 3 levels, each pass over every feature
+    assert(rec.calls == Seq.fill(params.numTrees * params.maxDepth)((counts.length, counts.sum)))
+    val floor = math.pow(2, -30)
+    model.trees.indices.foreach { t =>
+      val tree = model.trees(t)
+      val depth = new Array[Int](tree.length)
+      tree.indices.foreach { i =>
+        if (tree(i).feature >= 0) { depth(tree(i).left) = depth(i) + 1; depth(tree(i).right) = depth(i) + 1 }
+      }
+      assert(depth.max == params.maxDepth, s"tree $t should reach max depth")
+      // (G, H) of each leaf, summed row by row in row order
+      val g = new Array[Double](tree.length)
+      val h = new Array[Double](tree.length)
+      bins.indices.foreach { r =>
+        var i = 0
+        while (tree(i).feature >= 0) i = if ((bins(r)(tree(i).feature) & 0xff) <= tree(i).binThr) tree(i).left else tree(i).right
+        val p = Metrics.sigmoid(TreeOps.margin(model.trees.take(t), bins(r)))
+        g(i) += HistBackend.exact(p - train.y(r))
+        h(i) += math.max(HistBackend.exact(p * (1.0 - p)), floor)
+      }
+      tree.indices.filter(depth(_) == params.maxDepth).foreach { i =>
+        assert(tree(i).feature == Node.Leaf)
+        assert(tree(i).weight == -params.eta * g(i) / (h(i) + params.lambda), s"tree $t node $i")
+        assert(tree(i).cover == h(i), s"tree $t node $i")
+      }
     }
-    assert(rec.calls.count(_._1 == params.maxDepth) == params.numTrees)
-    assert(rec.prefixMatches, "feature 0's bins must be the full histogram's")
+  }
+
+  test("Gbdt.train rejects 2^23 rows before asking for a histogram") {
+    var calls = 0
+    val huge = new HistBackend {
+      def numRows: Long = 1L << 23
+      def histograms(prevTrees: Array[Array[Node]], partial: Array[Node], pending: Array[Int],
+                     offsets: Array[Int], totalBins: Int): (Array[Array[Double]], Array[Array[Double]]) = {
+        calls += 1
+        (Array.empty, Array.empty)
+      }
+    }
+    val e = intercept[IllegalArgumentException](Gbdt.train(huge, Array(Array(0.0)), Array("a"), GbdtParams()))
+    assert(e.getMessage.contains("2^23"), e.getMessage)
+    assert(calls == 0)
+  }
+
+  test("quantized gradients sum to one double in any order and grouping") {
+    val terms = Gen.choose(1, 3000).flatMap(n => Gen.listOfN(n, Gen.choose(-1.0, 1.0)))
+    val prop = Prop.forAllNoShrink(terms, Gen.choose(0L, Long.MaxValue)) { (raw, seed) =>
+      val q = raw.map(HistBackend.exact).toArray
+      val exactSum = q.foldLeft(java.math.BigDecimal.ZERO)((a, v) => a.add(new java.math.BigDecimal(v)))
+      val rng = new scala.util.Random(seed)
+      val sums = Seq.fill(5) {
+        val shuffled = rng.shuffle(q.toSeq)
+        val cuts = (0 +: Seq.fill(rng.nextInt(8))(rng.nextInt(q.length + 1)) :+ q.length).sorted
+        val parts = cuts.zip(cuts.tail).map { case (a, b) => shuffled.slice(a, b).foldLeft(0.0)(_ + _) }
+        rng.shuffle(parts).foldLeft(0.0)(_ + _)
+      } :+ q.foldLeft(0.0)(_ + _)
+      sums.forall(s => new java.math.BigDecimal(s).compareTo(exactSum) == 0)
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(200), prop)
+    assert(res.passed, Pretty.pretty(res))
   }
 
   test("fitDF (distributed end-to-end) matches local fit quality") {
