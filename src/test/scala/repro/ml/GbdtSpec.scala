@@ -185,7 +185,7 @@ class GbdtSpec extends SparkSpec {
     }
   }
 
-  test("a tree takes maxDepth passes over every feature, and its deepest leaves come from the parent's scan") {
+  test("maxDepth full passes per tree; deepest leaves from the parent's scan") {
     val train = TestData.planted(700, 5, seed = 12)
     val params = GbdtParams()
     val edges = Binning.fitLocal(train, params.maxBins)
