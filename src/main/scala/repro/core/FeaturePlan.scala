@@ -80,7 +80,7 @@ final case class FeaturePlan(generated: Seq[GenFeature], keep: Seq[String]) {
     val out = SparkRows.blocks(in, y).mapPartitions(_.flatMap { b =>
       val psi = applyLocal(b)
       val cols = Array.tabulate(psi.cols)(psi.column)
-      LocalMatrix.chunkRows(if (label.isDefined) cols :+ psi.y else cols, psi.rows)
+      LocalMatrix.chunkRows(if (label.isDefined) cols :+ psi.y else cols, 0, psi.rows)
     })
     df.sparkSession.createDataFrame(out, LocalMatrix.schema(keep ++ label))
   }

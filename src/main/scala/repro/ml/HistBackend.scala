@@ -66,12 +66,12 @@ object TreeOps {
   *
   * One implementation keeps binned rows on the driver (fast path for the
   * paper's single-machine benchmarks); the other holds an
-  * `RDD[(Array[Byte], Double)]` and aggregates with `treeAggregate` — the
-  * distributed path used for the business-scale tables. Both add the same
-  * per-row terms, each a multiple of 2^-30 (`HistBackend.exact`), so every
-  * sum over fewer than 2^23 rows is exact: the merge order of Spark's
-  * partition partials does not matter, and `GbdtSpec` checks that the two
-  * grow `==` trees.
+  * `RDD[(Array[Byte], Double)]` and sums each pass in one Spark job
+  * (`SparkRows.sumPartitions`) — the distributed path used for the
+  * business-scale tables. Both add the same per-row terms, each a multiple
+  * of 2^-30 (`HistBackend.exact`), so every sum over fewer than 2^23 rows is
+  * exact: how Spark's partition partials are grouped does not matter, and
+  * `GbdtSpec` checks that the two grow `==` trees.
   */
 trait HistBackend {
 
@@ -204,9 +204,10 @@ final class LocalHist(bins: Array[Array[Byte]], labels: Array[Double]) extends H
   }
 }
 
-/** Distributed backend: binned rows live in an RDD, statistics are merged
-  * with `treeAggregate` so the driver only ever sees O(#nodes × #bins); the
-  * sums are exact, so they are `LocalHist`'s doubles in any merge order.
+/** Distributed backend: binned rows live in an RDD, and each pass is one
+  * `SparkRows.sumPartitions` job, so the driver only ever sees one
+  * O(#nodes × #bins) partial per partition; the sums are exact, so they are
+  * `LocalHist`'s doubles in any merge order.
   * Margins are recomputed in each pass: an RDD of margins rebuilt for every
   * tree measured slower than the re-scoring it saves (ROADMAP item 2).
   */
@@ -221,13 +222,10 @@ final class SparkHist(rdd: RDD[(Array[Byte], Double)]) extends HistBackend {
       offsets: Array[Int],
       totalBins: Int): (Array[Array[Double]], Array[Array[Double]]) = {
     val pos = HistBackend.pendingPositions(partial.length, pending)
-    val flat = rdd.treeAggregate(new Array[Double](2 * pending.length * totalBins))(
-      seqOp = { (acc, row) =>
-        HistBackend.accumulate(acc, row._1, row._2, TreeOps.margin(prevTrees, row._1),
-          partial, pos, offsets, totalBins)
-        acc
-      },
-      combOp = SparkRows.sumInto)
+    val flat = SparkRows.sumPartitions(rdd, 2 * pending.length * totalBins) { (acc, row) =>
+      HistBackend.accumulate(acc, row._1, row._2, TreeOps.margin(prevTrees, row._1),
+        partial, pos, offsets, totalBins)
+    }
     HistBackend.unflatten(flat, pending.length, totalBins)
   }
 }

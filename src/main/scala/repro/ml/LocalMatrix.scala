@@ -53,20 +53,19 @@ final class LocalMatrix(val names: Array[String], columns: Array[Array[Double]],
     *
     * With k = clamp(rows / 1000, 1, 8) partitions, partition p holds rows
     * [p·rows/k, (p+1)·rows/k) in order, as `parallelize` over the rows would
-    * place them. Each partition is one chunk of primitive column slices (the
-    * label last), and its rows are built on the executors by `chunkRows`:
-    * the parallelized collection travels inside every task of every job that
-    * reads the frame, and boxed rows made those tasks slow to deserialise.
+    * place them, built on the executors by `chunkRows`. The columns (the
+    * label last) travel in one broadcast and only the partition indices are
+    * parallelized, so a task over the frame carries no rows, as with a
+    * file-backed frame. Spark's `ContextCleaner` drops the broadcast once
+    * the frame is unreachable.
     */
   def toDF(spark: SparkSession): DataFrame = {
     val k = math.max(1, math.min(8, rows / 1000))
-    val withLabel = columns :+ y
-    val chunks = (0 until k).map { p =>
-      val from = (p.toLong * rows / k).toInt
-      val until = ((p + 1).toLong * rows / k).toInt
-      withLabel.map(java.util.Arrays.copyOfRange(_, from, until))
+    val n = rows // a local, so the task closure does not capture this matrix
+    val withLabel = spark.sparkContext.broadcast(columns :+ y)
+    val data = spark.sparkContext.parallelize(0 until k, k).flatMap { p =>
+      LocalMatrix.chunkRows(withLabel.value, (p.toLong * n / k).toInt, ((p + 1).toLong * n / k).toInt)
     }
-    val data = spark.sparkContext.parallelize(chunks, k).flatMap(c => LocalMatrix.chunkRows(c, c.last.length))
     spark.createDataFrame(data, LocalMatrix.schema(names.toSeq :+ "label"))
   }
 }
@@ -77,9 +76,9 @@ object LocalMatrix {
   private[repro] def schema(names: Seq[String]): StructType =
     StructType(names.map(StructField(_, DoubleType, nullable = false)))
 
-  /** The `n` rows of column slices of `n` values: row i holds each slice's value i. */
-  private[repro] def chunkRows(cols: Array[Array[Double]], n: Int): Iterator[Row] =
-    Iterator.tabulate(n)(i => Row.fromSeq(cols.map(_(i)).toSeq))
+  /** Rows [from, until) of `cols`: row i holds each column's value i. */
+  private[repro] def chunkRows(cols: Array[Array[Double]], from: Int, until: Int): Iterator[Row] =
+    Iterator.range(from, until).map(i => Row.fromSeq(cols.map(_(i)).toSeq))
 
   /** Whether every label is 0.0 or 1.0: one pass, no allocation. */
   private def binary(y: Array[Double]): Boolean = {

@@ -30,17 +30,12 @@ object Rows {
 
   final case class Blocks(blocks: RDD[LocalMatrix]) extends Rows {
     def map(f: LocalMatrix => LocalMatrix): Rows = Blocks(blocks.map(f))
-    /** One partial per partition, added on the driver in partition order:
-      * the same doubles from run to run, which differ from the driver's single
-      * chain in the last bits. Each partial is at most a few hundred KB, so
-      * they are collected; for thousands of partitions a fixed-shape tree
-      * folded in index order would be the choice.
+    /** One Spark job through `SparkRows.sumPartitions`: a partial per
+      * partition, added on the driver in partition order, so the same doubles
+      * from run to run, which differ from the driver's single chain in the
+      * last bits.
       */
     def sum(length: Int)(add: (Array[Double], LocalMatrix) => Unit): Array[Double] =
-      blocks.mapPartitions { it =>
-        val acc = new Array[Double](length)
-        it.foreach(add(acc, _))
-        Iterator.single(acc)
-      }.collect().foldLeft(new Array[Double](length))(SparkRows.sumInto)
+      SparkRows.sumPartitions(blocks, length)(add)
   }
 }

@@ -1,5 +1,6 @@
 package repro.ml
 
+import org.apache.spark.TaskContext
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions.col
@@ -8,7 +9,7 @@ import org.apache.spark.sql.types.DoubleType
 /** How the program reads Spark rows: the one cell decode, shared by
   * `LocalMatrix.fromDF` and by the row blocks every distributed statistic
   * (GBDT histograms, IV, Pearson) runs the local kernels on, and the one
-  * merge of their partial sums.
+  * distributed sum of their partials (`sumPartitions`).
   */
 object SparkRows {
 
@@ -65,8 +66,27 @@ object SparkRows {
     if (java.lang.Double.isFinite(v)) v else 0.0
   }
 
-  /** Adds `b` into `a` elementwise and returns `a` (every merge of partials). */
-  def sumInto(a: Array[Double], b: Array[Double]): Array[Double] = {
+  /** The one distributed sum: one Spark job, with no merge stage, whose
+    * tasks each fold their partition into an array of `length` zeros with
+    * `add`; the driver adds these partials in partition order, starting from
+    * zeros (so an RDD with no partitions gives zeros). The job runs our own
+    * task function: `treeAggregate` and `fold` have Spark clean their
+    * internal closures on every call, and `treeAggregate` adds a merge stage
+    * from 8 partitions. Partials are at most a few hundred KB, so each is
+    * collected; for thousands of partitions a fixed-shape tree folded in
+    * index order would be the choice.
+    */
+  def sumPartitions[T](rdd: RDD[T], length: Int)(add: (Array[Double], T) => Unit): Array[Double] = {
+    val partials = rdd.sparkContext.runJob(rdd, (_: TaskContext, it: Iterator[T]) => {
+      val acc = new Array[Double](length)
+      it.foreach(add(acc, _))
+      acc
+    }, 0 until rdd.getNumPartitions)
+    partials.foldLeft(new Array[Double](length))(sumInto)
+  }
+
+  /** Adds `b` into `a` elementwise and returns `a`. */
+  private def sumInto(a: Array[Double], b: Array[Double]): Array[Double] = {
     var i = 0
     while (i < a.length) { a(i) += b(i); i += 1 }
     a

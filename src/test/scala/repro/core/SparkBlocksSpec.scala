@@ -32,6 +32,15 @@ class SparkBlocksSpec extends SparkSpec {
     assert(InfoValue.ivAll(Rows.Blocks(blocks), names, edges) == InfoValue.ivAll(Rows.Local(local), names, edges))
   }
 
+  test("sumPartitions adds partials in partition order, from zeros") {
+    // 1e16 + 1 rounds back to 1e16: in partition order the sum is 0; adding 1e16 and -1e16 first gives 1
+    val rdd = spark.sparkContext.parallelize(Seq(1e16, 1.0, -1e16), 3)
+    val sum = SparkRows.sumPartitions(rdd, 2) { (acc, v) => acc(0) += v; acc(1) += 1 }
+    assert(sum.toSeq == Seq(0.0, 3.0))
+    val none = SparkRows.sumPartitions(spark.sparkContext.emptyRDD[Double], 2)((acc, v) => acc(0) += v)
+    assert(none.toSeq == Seq(0.0, 0.0))
+  }
+
   test("the Spark engine reads NaN inputs of generated features as the local engine does") {
     val m = TestData.planted(400, 3, seed = 73)
     val x = m.x.zipWithIndex.map { case (r, i) => if (i % 50 == 0) r.updated(0, Double.NaN) else r }

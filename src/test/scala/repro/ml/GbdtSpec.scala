@@ -1,7 +1,9 @@
 package repro.ml
 
+import scala.jdk.CollectionConverters._
 import org.apache.spark.ml.classification.GBTClassifier
 import org.apache.spark.ml.linalg.{Vector, Vectors}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.util.Pretty
 import repro.{SparkSpec, TestData}
@@ -254,17 +256,54 @@ class GbdtSpec extends SparkSpec {
     assert(res.passed, Pretty.pretty(res))
   }
 
-  test("fitDF (distributed end-to-end) matches local fit quality") {
-    val train = TestData.xor(600, seed = 9)
+  test("Gbdt.fit on Spark blocks grows the local trees") {
+    val train = TestData.xor(8000, seed = 9)
     val test = TestData.xor(300, seed = 10)
     val params = GbdtParams(numTrees = 15, maxBins = 16)
+    val df = train.toDF(spark)
+    assert(df.rdd.getNumPartitions >= 8)
     val local = Gbdt.fit(train, params)
-    val dist = Gbdt.fit(Rows.Blocks(SparkRows.blocks(train.toDF(spark))), train.names,
-      Binning.fitLocal(train, params.maxBins), params)
-    val aucLocal = Metrics.auc(test.y, local.predictProba(test))
+    val dist = Gbdt.fit(Rows.Blocks(SparkRows.blocks(df)), train.names, Binning.fitLocal(train, params.maxBins), params)
+    assert(treesOf(dist) == treesOf(local))
     val aucDist = Metrics.auc(test.y, dist.predictProba(test))
     assert(aucDist > 0.85, s"distributed auc=$aucDist")
-    assert(math.abs(aucLocal - aucDist) < 0.1, s"local=$aucLocal dist=$aucDist")
+  }
+
+  test("a Spark fit starts one count and one single-stage job per histogram pass") {
+    val train = TestData.planted(8000, 4, seed = 16)
+    val params = GbdtParams(numTrees = 4, maxBins = 16)
+    val df = train.toDF(spark)
+    assert(df.rdd.getNumPartitions >= 8, "treeAggregate would add a merge stage here")
+    val edges = Binning.fitLocal(train, params.maxBins)
+    val recording = new RecordingHist(Binning.applyLocal(train, edges), train.y)
+    val local = Gbdt.train(recording, edges, train.names, params)
+    val stages = new java.util.concurrent.ConcurrentHashMap[Int, Int] // the fit's jobs: id -> stages
+    val markerDone = new java.util.concurrent.CountDownLatch(1)
+    val key = "repro.test.jobs"
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).flatMap(p => Option(p.getProperty(key))) match {
+          case Some("fit") => stages.put(e.jobId, e.stageInfos.length)
+          case Some("marker") => markerDone.countDown()
+          case _ =>
+        }
+    }
+    val sc = spark.sparkContext
+    sc.addSparkListener(listener)
+    try {
+      sc.setLocalProperty(key, "fit")
+      val dist = Gbdt.fit(Rows.Blocks(SparkRows.blocks(df)), train.names, edges, params)
+      // the bus delivers events in order, so the marker's start comes after every fit job's
+      sc.setLocalProperty(key, "marker")
+      sc.parallelize(Seq(1), 1).count()
+      assert(markerDone.await(30, java.util.concurrent.TimeUnit.SECONDS), "listener did not see the marker job")
+      assert(treesOf(dist) == treesOf(local))
+      assert(stages.size == recording.calls.length + 1, s"${stages.size} jobs for ${recording.calls.length} passes")
+      assert(stages.values.asScala.forall(_ == 1), s"stages per job: $stages")
+    } finally {
+      sc.setLocalProperty(key, null)
+      sc.removeSparkListener(listener)
+    }
   }
 
   /** Held-out AUC of MLlib's `GBTClassifier` trained with our tree count,

@@ -102,6 +102,21 @@ class LocalMatrixSpec extends SparkSpec {
     }
   }
 
+  test("toDF tasks carry no rows: every partition serializes under 2 KB") {
+    Seq(2000, 20000).foreach { n =>
+      val rng = new scala.util.Random(n)
+      val m = new LocalMatrix(Array.tabulate(20)(j => s"x$j"), Array.fill(20)(Array.fill(n)(rng.nextDouble())),
+        Array.tabulate(n)(r => (r % 2).toDouble))
+      m.toDF(spark).rdd.partitions.foreach { part =>
+        val bytes = new java.io.ByteArrayOutputStream()
+        val out = new java.io.ObjectOutputStream(bytes)
+        out.writeObject(part)
+        out.close()
+        assert(bytes.size < 2048, s"$n rows: partition ${part.index} serializes to ${bytes.size} bytes")
+      }
+    }
+  }
+
   test("fromDF zeroes non-finite values") {
     import org.apache.spark.sql.functions._
     val df = sample.toDF(spark).withColumn("a", when(col("a") === 1.0, lit(Double.NaN)).otherwise(col("a")))
