@@ -28,8 +28,9 @@ final case class SafeConfig(
     maxOutFactor: Double = 2.0,
     nIter: Int = 1,
     gbdt: GbdtParams = GbdtParams(),
-    /** rows sampled for gain-ratio scoring (a ranking heuristic); on both
-      * engines the same sample also yields every bin edge (GBDT and IV). */
+    /** rows sampled for gain-ratio scoring (a ranking heuristic): every row
+      * when N ≤ cap, else exactly `cap` seeded rows, the same on both
+      * engines. The sample also yields every bin edge (GBDT and IV). */
     igSampleCap: Int = 100000,
     seed: Long = 0)
 
@@ -48,8 +49,8 @@ final case class SafeResult(plan: FeaturePlan, reports: Seq[IterationReport])
   * plan equals `fitLocal`'s (generated features and keep order): GBDT
   * histograms and IV counts are exact sums, and only Pearson sums differ, in
   * their last bits, so only a |ρ| that close to θ could split the plans.
-  * For N > cap they draw different samples, so the kept sets overlap but may
-  * differ (`SafeSpec` tests both).
+  * For N > cap both engines sample the same `cap` rows (`samplePositions`),
+  * so the same holds at every N (`SafeSpec` tests both).
   */
 object Safe {
 
@@ -69,15 +70,29 @@ object Safe {
     * `originalNames` whose rows live in `rows`. It is lazy: `addGenerated`
     * only records the features, and every statistic evaluates the generated
     * columns it reads through Ψ's one-pass evaluator (`FeaturePlan.applyLocal`).
-    * `drawSample`, a seeded sample of about `igSampleCap` original rows
-    * drawn on first use, gives every bin edge and the scoring matrix.
+    * Its sample, drawn on first use, gives every bin edge and the scoring
+    * matrix: every original row when N ≤ `sampleCap`, else the `sampleCap`
+    * rows at `samplePositions(N, sampleCap, seed)`, in row order. An engine
+    * supplies only N and how to read its rows.
     */
-  sealed abstract class RowsEngine(val originalNames: Seq[String], rows: Rows, drawSample: => LocalMatrix)
+  sealed abstract class RowsEngine(val originalNames: Seq[String], rows: Rows, sampleCap: Int, seed: Long)
       extends Engine {
     require(originalNames.distinct == originalNames, s"duplicate feature names: ${originalNames.diff(originalNames.distinct).mkString(", ")}")
     private val generated = ArrayBuffer.empty[GenFeature]
-    private lazy val sample: LocalMatrix = drawSample
     var gbdtParams: GbdtParams = GbdtParams()
+
+    /** N, the number of original rows. */
+    protected def rowCount: Long
+    /** Every original row, in row order. */
+    protected def allRows: LocalMatrix
+    /** The original rows at ascending `positions`, in row order. */
+    protected def rowsAt(positions: Array[Int]): LocalMatrix
+
+    private lazy val sample: LocalMatrix = {
+      val n = rowCount
+      require(n > 0, "SAFE needs at least one row")
+      if (n <= sampleCap) allRows else rowsAt(samplePositions(math.toIntExact(n), sampleCap, seed))
+    }
 
     /** Ψ from the original columns to `names`. */
     protected def plan(names: Seq[String]): FeaturePlan = FeaturePlan(generated.toSeq, names)
@@ -111,31 +126,47 @@ object Safe {
       Correlation.matrix(rows.map(plan(names).applyLocal), names)
   }
 
-  /** Driver-side engine over `initial`. Its sample is `initial` itself when
-    * N ≤ `sampleCap`, else one seeded subset of `sampleCap` rows.
-    */
+  /** Driver-side engine over `initial`, whose rows are its matrix rows. */
   final class LocalEngine(initial: LocalMatrix, sampleCap: Int, seed: Long)
-      extends RowsEngine(initial.names.toSeq, Rows.Local(initial),
-        if (initial.rows <= sampleCap) initial
-        else initial.takeRows(new Random(seed).shuffle((0 until initial.rows).toList).take(sampleCap).toArray)) {
-    require(initial.rows > 0, "SAFE needs at least one row")
+      extends RowsEngine(initial.names.toSeq, Rows.Local(initial), sampleCap, seed) {
+    protected def rowCount: Long = initial.rows
+    protected def allRows: LocalMatrix = initial
+    protected def rowsAt(positions: Array[Int]): LocalMatrix = initial.takeRows(positions)
     /** `allNames` over every row of `initial`. */
     def current: LocalMatrix = plan(allNames).applyLocal(initial)
   }
 
-  /** Distributed engine over the original frame. Its statistics run the
-    * local kernels on the frame's row blocks (`SparkRows.blocks`) in Spark
-    * jobs that only count (GBDT histograms, IV bins, Pearson sums). Its
-    * sample is collected on first use: the whole frame when N ≤ `sampleCap`,
-    * else a seeded Bernoulli `sample(cap / N)`, which may exceed the cap.
+  /** Distributed engine over the original frame, whose rows are the frame's
+    * rows in partition-then-row order. Its statistics run the local kernels
+    * on the frame's row blocks (`SparkRows.blocks`) in Spark jobs that only
+    * count (GBDT histograms, IV bins, Pearson sums); its sample is collected
+    * to the driver.
     */
   final class SparkEngine(df: DataFrame, labelCol: String, sampleCap: Int, seed: Long)
-      extends RowsEngine(SparkRows.featureNames(df, labelCol).toSeq, Rows.Blocks(SparkRows.blocks(df, labelCol)), {
-        val n = df.count()
-        require(n > 0, "SAFE needs at least one row")
-        val rows = if (n <= sampleCap) df else df.sample(withReplacement = false, sampleCap.toDouble / n, seed)
-        LocalMatrix.fromDF(rows, labelCol)
-      })
+      extends RowsEngine(SparkRows.featureNames(df, labelCol).toSeq, Rows.Blocks(SparkRows.blocks(df, labelCol)),
+        sampleCap, seed) {
+    protected def rowCount: Long = df.count()
+    protected def allRows: LocalMatrix = LocalMatrix.fromDF(df, labelCol)
+    protected def rowsAt(positions: Array[Int]): LocalMatrix = SparkRows.rowsAt(df, labelCol, positions)
+  }
+
+  /** The one sample rule: `cap` distinct row positions out of 0 until `n`,
+    * ascending: the first `cap` entries of a Fisher–Yates shuffle of 0 until
+    * `n` driven by `new Random(seed)`, the same draws `Random.shuffle` makes.
+    */
+  private[core] def samplePositions(n: Int, cap: Int, seed: Long): Array[Int] = {
+    val rng = new Random(seed)
+    val p = Array.range(0, n)
+    var i = n
+    while (i >= 2) {
+      val k = rng.nextInt(i)
+      val t = p(i - 1); p(i - 1) = p(k); p(k) = t
+      i -= 1
+    }
+    val s = p.take(cap)
+    java.util.Arrays.sort(s)
+    s
+  }
 
   /** SAFE on driver-side data (the paper's benchmark-machine setting). */
   def fitLocal(m: LocalMatrix, cfg: SafeConfig = SafeConfig(),

@@ -192,13 +192,51 @@ class SafeSpec extends SparkSpec {
       Binning.fitLocal(sample, engine.gbdtParams.maxBins).map(_.toSeq).toSeq)
   }
 
-  test("fitSpark keeps most of fitLocal's features when edges come from a sample") {
-    val m = TestData.planted(2000, 6, seed = 14)
-    val cfg = SafeConfig(igSampleCap = 500)
-    val (local, dist) = bothEngines(m, cfg)
-    val (a, b) = (local.plan.keep.toSet, dist.plan.keep.toSet)
-    val jaccard = (a & b).size.toDouble / (a | b).size
-    assert(jaccard >= 0.75, s"local=${local.plan.keep} spark=${dist.plan.keep}")
+  /** Whether `a` and `b` hold the same names, and bit for bit the same columns and labels. */
+  private def sameMatrix(a: LocalMatrix, b: LocalMatrix): Boolean =
+    a.names.toSeq == b.names.toSeq && java.util.Arrays.equals(a.y, b.y) &&
+      a.names.indices.forall(j => java.util.Arrays.equals(a.column(j), b.column(j)))
+
+  test("fitSpark plan equals fitLocal's above the cap") {
+    // (rows, features, data seed, igSampleCap)
+    Seq((2000, 6, 14, 500), (3000, 8, 3, 1000), (2500, 10, 5, 700)).foreach { case (n, f, seed, cap) =>
+      val m = TestData.planted(n, f, seed)
+      val cfg = SafeConfig(igSampleCap = cap)
+      val df = m.toDF(spark).cache()
+      df.count()
+      try {
+        val local = Safe.fitLocal(m, cfg).plan
+        val dist = Safe.fitSpark(df, "label", cfg).plan
+        assert(dist.generated == local.generated, s"draw $seed")
+        assert(dist.keep == local.keep, s"draw $seed")
+        val names = m.names.toSeq
+        val sample = new Safe.SparkEngine(df, "label", cap, cfg.seed).scoringMatrix(names)
+        assert(sample.rows == cap)
+        assert(sameMatrix(sample, new Safe.LocalEngine(m, cap, cfg.seed).scoringMatrix(names)), s"draw $seed")
+      } finally df.unpersist()
+    }
+  }
+
+  test("samplePositions draws the seeded shuffle's first cap rows, ascending") {
+    Seq((2000, 500, 3L), (200000, 100000, 0L)).foreach { case (n, cap, seed) =>
+      val p = Safe.samplePositions(n, cap, seed)
+      assert(p.toSeq == new scala.util.Random(seed).shuffle((0 until n).toList).take(cap).sorted, (n, cap, seed))
+      assert(p.length == cap && p.head >= 0 && p.last < n)
+      assert((1 until cap).forall(i => p(i - 1) < p(i)), "ascending and distinct")
+    }
+  }
+
+  test("the Spark sample takes rows in frame order over uneven partitions") {
+    val m = TestData.planted(1200, 4, seed = 31)
+    val rows = m.x.indices.map(i => Row.fromSeq(m.x(i).toSeq :+ m.y(i)))
+    val sc = spark.sparkContext
+    // a plain parallelize of 1 200 rows fills every slice evenly; this union keeps
+    // row order in partitions of 150, 150, 0, 450 and 450 rows
+    val rdd = sc.union(sc.parallelize(rows.take(300), 2), sc.parallelize(Seq.empty[Row], 1), sc.parallelize(rows.drop(300), 2))
+    val df = spark.createDataFrame(rdd, StructType((m.names.toSeq :+ "label").map(StructField(_, DoubleType))))
+    assert(df.rdd.glom().map(_.length).collect().toSeq == Seq(150, 150, 0, 450, 450))
+    val sample = new Safe.SparkEngine(df, "label", sampleCap = 500, seed = 7).scoringMatrix(m.names.toSeq)
+    assert(sameMatrix(sample, m.takeRows(Safe.samplePositions(1200, 500, 7))))
   }
 
   test("fitSpark plan transform runs on a 1-row DataFrame (real-time inference)") {
