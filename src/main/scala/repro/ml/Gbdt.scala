@@ -85,17 +85,20 @@ object Gbdt {
 
   /** Train on `rows` whose columns are `names`, in order, under per-feature
     * `edges`. Driver rows are binned into a `LocalHist`. Spark blocks are
-    * binned with `Binning.applyLocal` inside their tasks, and the binned rows
-    * are cached for the `SparkHist` passes; under the same edges the trees
-    * are the driver's.
+    * binned once per fit, inside their tasks, into the `SparkHist` pass input
+    * (`SparkHist.passInput`), whose lineage is cut when its first job (the
+    * row count) caches it. So no pass task ships the frame's plan: on the
+    * spark-fit frame each carried 68 494 bytes of RDD, and now 14 452. In
+    * exchange, a lost executor fails a running fit instead of having its
+    * binned rows recomputed. The blocks are freed when the fit ends. Under
+    * the same edges the trees are the driver's.
     */
   def fit(rows: Rows, names: Array[String], edges: Array[Array[Double]], params: GbdtParams): GbdtModel =
     rows match {
       case Rows.Local(m) =>
         train(new LocalHist(Binning.applyLocal(m, edges), m.y), edges, names, params)
       case Rows.Blocks(blocks) =>
-        val binned = blocks.flatMap(b => Binning.applyLocal(b, edges).iterator.zip(b.y.iterator))
-          .persist(org.apache.spark.storage.StorageLevel.MEMORY_AND_DISK)
+        val binned = SparkHist.passInput(blocks, edges)
         try train(new SparkHist(binned), edges, names, params)
         finally binned.unpersist(blocking = false)
     }

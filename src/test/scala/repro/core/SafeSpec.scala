@@ -176,6 +176,21 @@ class SafeSpec extends SparkSpec {
     } finally df.unpersist()
   }
 
+  test("fitSpark leaves the persisted RDDs as it found them and repeats its plan") {
+    val df = train.toDF(spark).cache()
+    df.count()
+    val sc = spark.sparkContext
+    try {
+      val before = sc.getPersistentRDDs.keySet
+      val plans = Seq.fill(2) {
+        val plan = Safe.fitSpark(df, "label", fastCfg).plan
+        assert(sc.getPersistentRDDs.keySet == before)
+        plan
+      }
+      assert(plans(0).generated == plans(1).generated && plans(0).keep == plans(1).keep)
+    } finally df.unpersist()
+  }
+
   test("the local engine takes IV and GBDT edges from its sample when N exceeds the cap") {
     val m = TestData.planted(2000, 6, seed = 14)
     val engine = new Safe.LocalEngine(m, sampleCap = 500, seed = 3)

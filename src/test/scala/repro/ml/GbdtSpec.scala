@@ -1,9 +1,11 @@
 package repro.ml
 
 import scala.jdk.CollectionConverters._
+import org.apache.spark.SparkEnv
 import org.apache.spark.ml.classification.GBTClassifier
 import org.apache.spark.ml.linalg.{Vector, Vectors}
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.sql.functions.col
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.util.Pretty
 import repro.{SparkSpec, TestData}
@@ -304,6 +306,46 @@ class GbdtSpec extends SparkSpec {
       sc.setLocalProperty(key, null)
       sc.removeSparkListener(listener)
     }
+  }
+
+  test("a Spark pass ships no frame lineage, however long the frame's plan") {
+    val train = TestData.planted(4000, 44, seed = 17)
+    val params = GbdtParams(numTrees = 3)
+    val edges = Binning.fitLocal(train, params.maxBins)
+    val local = treesOf(Gbdt.train(new LocalHist(Binning.applyLocal(train, edges), train.y), edges, train.names, params))
+    val plain = train.toDF(spark)
+    // the same rows behind 30 projections: x * 1.0 is x bit for bit
+    val long = (0 until 30).foldLeft(plain)((df, i) => df.withColumn(s"x${i % 4}", col(s"x${i % 4}") * 1.0))
+    val serializer = SparkEnv.get.closureSerializer.newInstance()
+    Seq("plain" -> plain, "30 projections" -> long).foreach { case (name, df) =>
+      val rows = SparkHist.passInput(SparkRows.blocks(df), edges)
+      try {
+        assert(treesOf(Gbdt.train(new SparkHist(rows), edges, train.names, params)) == local, name)
+        // what every pass task deserializes besides its own closure
+        val bytes = serializer.serialize(rows).limit()
+        info(s"$name: $bytes bytes")
+        assert(bytes < 16 * 1024, s"$name: the pass input serializes to $bytes bytes")
+      } finally rows.unpersist(blocking = false)
+    }
+  }
+
+  test("Spark fits leave the persisted RDDs as they found them and repeat their trees") {
+    val train = TestData.planted(3000, 6, seed = 18)
+    val params = GbdtParams(numTrees = 4, maxBins = 16)
+    val edges = Binning.fitLocal(train, params.maxBins)
+    val df = train.toDF(spark).cache()
+    df.count()
+    val sc = spark.sparkContext
+    try {
+      val before = sc.getPersistentRDDs.keySet
+      val fits = Seq.fill(2) {
+        val trees = treesOf(Gbdt.fit(Rows.Blocks(SparkRows.blocks(df)), train.names, edges, params))
+        assert(sc.getPersistentRDDs.keySet == before)
+        trees
+      }
+      assert(fits(0) == fits(1))
+      assert(fits(0) == treesOf(Gbdt.fit(train, params)))
+    } finally df.unpersist()
   }
 
   /** Held-out AUC of MLlib's `GBTClassifier` trained with our tree count,
