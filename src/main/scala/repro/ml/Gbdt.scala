@@ -105,10 +105,19 @@ object Gbdt {
 
   /** Core level-wise trainer over any backend: one `histograms` call over
     * every feature per level of each tree, so a tree that reaches max depth
-    * takes `maxDepth` passes. A split at depth `maxDepth − 1` makes its
-    * children leaves at once, from the (G_L, H_L) its scan summed and the
-    * parent's (G − G_L, H − H_L): the sums are exact (`HistBackend.exact`),
-    * so these are the children's own totals. That needs fewer than 2^23 rows.
+    * takes `maxDepth` passes. Below the root a pass asks only for the child
+    * of each split with the smaller cover (H_L against H − H_L) and takes
+    * its sibling bin by bin as the parent's histogram minus that child's
+    * (histogram subtraction, as in LightGBM and XGBoost's `hist`), so the
+    * rows of the larger child add nothing. The parents' histograms are kept
+    * for one level only. A split at depth `maxDepth − 1` makes its children
+    * leaves at once, from the (G_L, H_L) its scan summed and the parent's
+    * (G − G_L, H − H_L). Both rest on the sums being exact
+    * (`HistBackend.exact`): every cell is a multiple of 2^-30 below 2^23 in
+    * magnitude, so parent minus child, which is the other child's own sum,
+    * is one too and is computed without rounding. The derived histograms
+    * and leaf totals are the children's own, and which child a pass builds
+    * changes only its cost. That needs fewer than 2^23 rows, no more.
     */
   def train(backend: HistBackend, edges: Array[Array[Double]],
             names: Array[String], params: GbdtParams): GbdtModel = {
@@ -123,32 +132,63 @@ object Gbdt {
     while (t < params.numTrees) {
       val partial = ArrayBuffer[Node](Node.pending)
       var depth = 0
-      var pending = Array(0)
-      while (pending.nonEmpty) {
-        val (g, h) = backend.histograms(trees.toArray, partial.toArray, pending, offsets, totalBins)
-        val lastLevel = depth == params.maxDepth - 1
-        var k = 0
-        while (k < pending.length) {
-          val nodeId = pending(k)
-          val (gTot, hTot) = totals(g(k), h(k), binCounts(0))
-          bestSplit(g(k), h(k), offsets, binCounts, gTot, hTot, params) match {
-            case Some(s) =>
-              val li = partial.length
-              partial += (if (lastLevel) leaf(s.gl, s.hl) else Node.pending)
-              partial += (if (lastLevel) leaf(gTot - s.gl, hTot - s.hl) else Node.pending)
-              partial(nodeId) = Node(s.feature, s.bin, li, li + 1, 0.0, s.gain, hTot)
-            case None =>
-              partial(nodeId) = leaf(gTot, hTot)
-          }
-          k += 1
+      var asked = Array(0)
+      var derived = Array.empty[Derived]
+      while (asked.nonEmpty) {
+        val (ag, ah) = backend.histograms(trees.toArray, partial.toArray, asked, offsets, totalBins)
+        // this level's histograms by node id: the asked nodes', then their siblings'
+        val g = new Array[Array[Double]](partial.length)
+        val h = new Array[Array[Double]](partial.length)
+        asked.indices.foreach { k => g(asked(k)) = ag(k); h(asked(k)) = ah(k) }
+        derived.foreach { d =>
+          g(d.node) = subtractInto(d.parentG, g(d.sibling))
+          h(d.node) = subtractInto(d.parentH, h(d.sibling))
         }
-        pending = partial.indices.filter(partial(_).feature == Node.Pending).toArray
+        val lastLevel = depth == params.maxDepth - 1
+        val nextAsked = ArrayBuffer.empty[Int]
+        val nextDerived = ArrayBuffer.empty[Derived]
+        var nodeId = 0
+        while (nodeId < g.length) {
+          if (g(nodeId) != null) {
+            val (gTot, hTot) = totals(g(nodeId), h(nodeId), binCounts(0))
+            bestSplit(g(nodeId), h(nodeId), offsets, binCounts, gTot, hTot, params) match {
+              case Some(s) =>
+                val li = partial.length
+                partial += (if (lastLevel) leaf(s.gl, s.hl) else Node.pending)
+                partial += (if (lastLevel) leaf(gTot - s.gl, hTot - s.hl) else Node.pending)
+                partial(nodeId) = Node(s.feature, s.bin, li, li + 1, 0.0, s.gain, hTot)
+                if (!lastLevel) {
+                  val (small, large) = if (s.hl <= hTot - s.hl) (li, li + 1) else (li + 1, li)
+                  nextAsked += small
+                  nextDerived += Derived(large, small, g(nodeId), h(nodeId))
+                }
+              case None =>
+                partial(nodeId) = leaf(gTot, hTot)
+            }
+          }
+          nodeId += 1
+        }
+        asked = nextAsked.toArray
+        derived = nextDerived.toArray
         depth += 1
       }
       trees += partial.toArray
       t += 1
     }
     GbdtModel(trees.toArray, edges, names, params)
+  }
+
+  /** A frontier node whose histograms are its parent's minus its sibling's. */
+  private final case class Derived(node: Int, sibling: Int, parentG: Array[Double], parentH: Array[Double])
+
+  /** `parent` minus `child`, bin by bin, written into `parent`, which is
+    * returned: exact, as `train` says, and the parent's arrays are not read
+    * again.
+    */
+  private def subtractInto(parent: Array[Double], child: Array[Double]): Array[Double] = {
+    var b = 0
+    while (b < parent.length) { parent(b) -= child(b); b += 1 }
+    parent
   }
 
   /** Sum (G, H) of one node over the first feature's `bins0` bins. */

@@ -78,8 +78,12 @@ trait HistBackend {
 
   def numRows: Long
 
-  /** Gradient/hessian histograms for every frontier node of the tree under
-    * construction, under logistic loss with margins from `prevTrees`.
+  /** Gradient/hessian histograms of the frontier nodes asked for, in the
+    * tree under construction, under logistic loss with margins from
+    * `prevTrees`. Below the root `Gbdt.train` asks for one child of each
+    * split and derives the other as parent − child, which the exact sums
+    * make the child's own histogram under the same 2^23-row bound; rows on
+    * a Pending node not asked for add nothing.
     *
     * A backend may cache each row's margin under a prefix of `prevTrees` it
     * has already seen (the same tree arrays, compared by reference) and fold
@@ -87,10 +91,10 @@ trait HistBackend {
     *
     * @param prevTrees finalized trees of the model so far
     * @param partial   nodes of the tree being grown (contains Pending nodes)
-    * @param pending   ids of the Pending nodes (the frontier)
+    * @param pending   ids of the Pending nodes asked for (part of the frontier)
     * @param offsets   per-feature offset into the flat bin axis
     * @param totalBins sum of the features' bin counts
-    * @return (g, h): per frontier node, flat arrays indexed offsets(f)+bin
+    * @return (g, h): per node of `pending`, flat arrays indexed offsets(f)+bin
     */
   def histograms(
       prevTrees: Array[Array[Node]],
@@ -111,7 +115,7 @@ object HistBackend {
     */
   private[ml] def exact(v: Double): Double = math.rint(v / Q) * Q
 
-  /** Inverse map nodeId → frontier position (-1 elsewhere). */
+  /** Inverse map nodeId → position in `pending` (-1 elsewhere). */
   private[ml] def pendingPositions(partialLen: Int, pending: Array[Int]): Array[Int] = {
     val pos = Array.fill(partialLen)(-1)
     var k = 0
@@ -120,23 +124,25 @@ object HistBackend {
   }
 
   /** One row's step of a histogram pass, shared by both backends: route the
-    * binned row to its frontier node and add its logistic gradient and
-    * hessian at `margin` (the row's `TreeOps.margin` under the finalized
-    * trees), each rounded by `exact`, to that node's bins in `acc` (g in the
-    * first half, h in the second). The hessian is at least 2^-30, so it stays
-    * positive. Rows on a finished leaf add nothing. Allocation-free.
+    * binned row to its frontier node and, if that node was asked for, add
+    * its logistic gradient and hessian at `margin` (the row's
+    * `TreeOps.margin` under the finalized trees), each rounded by `exact`,
+    * to that node's bins in `acc` (g in the first half, h in the second).
+    * The hessian is at least 2^-30, so it stays positive. Rows on a finished
+    * leaf or on a node not asked for add nothing. Allocation-free.
     */
   private[ml] def accumulate(
       acc: Array[Double], rowBins: Array[Byte], label: Double, margin: Double,
       partial: Array[Node], pendingPos: Array[Int],
       offsets: Array[Int], totalBins: Int): Unit = {
     val nodeId = TreeOps.routePending(partial, rowBins)
-    if (nodeId >= 0) {
+    val k = if (nodeId >= 0) pendingPos(nodeId) else -1
+    if (k >= 0) {
       val p = Metrics.sigmoid(margin)
       val grad = exact(p - label)
       val hess = math.max(exact(p * (1.0 - p)), Q)
       val half = acc.length / 2
-      val base = pendingPos(nodeId) * totalBins
+      val base = k * totalBins
       var f = 0
       while (f < offsets.length) {
         val idx = base + offsets(f) + (rowBins(f) & 0xff)

@@ -98,6 +98,5 @@ object LocalMatrix {
     * all other columns are cast to double. Decoded as `SparkRows.blocks`
     * decodes: null and non-finite feature values read as 0.
     */
-  def fromDF(df: DataFrame, labelCol: String = "label"): LocalMatrix =
-    SparkRows.decode(SparkRows.featureNames(df, labelCol), SparkRows.doubles(df, labelCol).collect())
+  def fromDF(df: DataFrame, labelCol: String = "label"): LocalMatrix = SparkRows.collect(df, labelCol)
 }

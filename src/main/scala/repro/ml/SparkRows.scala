@@ -2,7 +2,7 @@ package repro.ml
 
 import org.apache.spark.TaskContext
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types.DoubleType
@@ -34,31 +34,40 @@ object SparkRows {
   private[ml] def doubles(df: DataFrame, labelCol: String): DataFrame =
     df.select((featureNames(df, labelCol).toSeq :+ labelCol).map(c => col(c).cast(DoubleType)): _*)
 
-  /** `df` as column-major blocks: each partition is decoded in row order into
-    * blocks of at most `BlockRows` rows. A block is built and consumed inside
-    * one task; `LocalMatrix` is not serializable, so blocks are never shipped.
+  /** `df` as column-major blocks: each partition's internal rows are decoded
+    * in row order into blocks of at most `BlockRows` rows (`decode`), with no
+    * `Row` in between. A block is built and consumed inside one task;
+    * `LocalMatrix` is not serializable, so blocks are never shipped.
     */
   def blocks(df: DataFrame, labelCol: String = "label"): RDD[LocalMatrix] = {
     val names = featureNames(df, labelCol)
-    doubles(df, labelCol).rdd.mapPartitions(_.grouped(BlockRows).map(decode(names, _)))
+    doubles(df, labelCol).queryExecution.toRdd.mapPartitions { rows =>
+      decode(names.length, rows).map { case (columns, y) => new LocalMatrix(names, columns, y) }
+    }
+  }
+
+  /** Every row of `df` in one driver matrix, in partition-then-row order,
+    * decoded as `blocks` decodes them: `LocalMatrix.fromDF`.
+    */
+  private[ml] def collect(df: DataFrame, labelCol: String): LocalMatrix = {
+    val names = featureNames(df, labelCol)
+    gather(names, doubles(df, labelCol).queryExecution.toRdd.mapPartitions(decode(names.length, _)))
   }
 
   /** The rows of `df` at ascending `positions`, counting rows in
     * partition-then-row order (the order `blocks` and `fromDF` read), decoded
-    * as `fromDF` decodes, in that order. Two jobs over the frame's internal
+    * as they decode them, in that order. Two jobs over the frame's internal
     * rows, the same RDD both times: one counts each partition's rows, which
-    * numbers them, and one keeps the rows at `positions`. Only the kept rows
-    * become `Row`s, and each task decodes its own into primitive columns,
-    * which is all that travels to the driver.
+    * numbers them, and one keeps the rows at `positions`. Each task decodes
+    * its kept rows into primitive columns, which is all that travels to the
+    * driver.
     */
   def rowsAt(df: DataFrame, labelCol: String, positions: Array[Int]): LocalMatrix = {
     val names = featureNames(df, labelCol)
-    val rows = doubles(df, labelCol)
-    val schema = rows.schema
-    val internal = rows.queryExecution.toRdd
+    val internal = doubles(df, labelCol).queryExecution.toRdd
     val counts = df.sparkSession.sparkContext.runJob(internal, (it: Iterator[InternalRow]) => it.size)
     val starts = counts.scanLeft(0L)(_ + _)
-    val parts = internal.mapPartitionsWithIndex { (p, it) =>
+    gather(names, internal.mapPartitionsWithIndex { (p, it) =>
       val found = java.util.Arrays.binarySearch(positions, math.min(starts(p), Int.MaxValue).toInt)
       var next = if (found >= 0) found else -found - 1 // first position at or after the partition's start
       var at = starts(p)
@@ -68,34 +77,53 @@ object SparkRows {
         at += 1
         hit
       }
-      val m = decode(names, kept.map(r => Row.fromSeq(r.toSeq(schema))).toArray[Row])
-      Iterator((Array.tabulate(m.cols)(m.column), m.y))
-    }.collect()
+      decode(names.length, kept)
+    })
+  }
+
+  /** Decoded chunks, collected in order, as one matrix with columns `names`.
+    * The matrix is built on the driver, so a bad label fails there.
+    */
+  private def gather(names: Array[String], chunks: RDD[(Array[Array[Double]], Array[Double])]): LocalMatrix = {
+    val parts = chunks.collect()
     new LocalMatrix(names, Array.tabulate(names.length)(j => Array.concat(parts.map(_._1(j)).toSeq: _*)),
       Array.concat(parts.map(_._2).toSeq: _*))
   }
 
-  /** The one cell decode: rows of `doubles` into a column-major matrix.
+  /** The one cell decode: internal rows of `doubles` (`m` features, then the
+    * label) into chunks of at most `BlockRows` rows, each as `m` feature
+    * columns and the labels. Each row is read by ordinal as it arrives and
+    * never kept: `toRdd` may hand out one row object again and again.
     * Feature cells that are null or non-finite read as 0; a null label reads
     * as 0, and any other label must be 0 or 1 (`LocalMatrix` checks it).
     */
-  private[ml] def decode(names: Array[String], rows: collection.Seq[Row]): LocalMatrix = {
-    val m = names.length
-    val columns = Array.fill(m)(new Array[Double](rows.length))
-    val y = new Array[Double](rows.length)
-    var i = 0
-    rows.foreach { r =>
-      var j = 0
-      while (j < m) { columns(j)(i) = feature(r, j); j += 1 }
-      y(i) = label(r, m)
-      i += 1
+  private def decode(m: Int, rows: Iterator[InternalRow]): Iterator[(Array[Array[Double]], Array[Double])] =
+    new Iterator[(Array[Array[Double]], Array[Double])] {
+      def hasNext: Boolean = rows.hasNext
+      def next(): (Array[Array[Double]], Array[Double]) = {
+        var columns = Array.fill(m)(Array.emptyDoubleArray)
+        var y = Array.emptyDoubleArray
+        var n = 0
+        while (n < BlockRows && rows.hasNext) {
+          if (n == y.length) { // grow by doubling, so a small partition allocates no full block
+            val size = math.min(BlockRows, math.max(16, 2 * n))
+            columns = columns.map(java.util.Arrays.copyOf(_, size))
+            y = java.util.Arrays.copyOf(y, size)
+          }
+          val r = rows.next()
+          var j = 0
+          while (j < m) { columns(j)(n) = feature(r, j); j += 1 }
+          y(n) = label(r, m)
+          n += 1
+        }
+        if (n == y.length) (columns, y)
+        else (columns.map(java.util.Arrays.copyOf(_, n)), java.util.Arrays.copyOf(y, n))
+      }
     }
-    new LocalMatrix(names, columns, y)
-  }
 
-  private def label(r: Row, j: Int): Double = if (r.isNullAt(j)) 0.0 else r.getDouble(j)
+  private def label(r: InternalRow, j: Int): Double = if (r.isNullAt(j)) 0.0 else r.getDouble(j)
 
-  private def feature(r: Row, j: Int): Double = {
+  private def feature(r: InternalRow, j: Int): Double = {
     val v = label(r, j)
     if (java.lang.Double.isFinite(v)) v else 0.0
   }

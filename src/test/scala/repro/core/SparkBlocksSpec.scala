@@ -17,6 +17,17 @@ class SparkBlocksSpec extends SparkSpec {
     assert(parts.forall(_._1 == back.names.toSeq))
     assert(parts.flatMap(_._2).sameElements(back.column(1)))
     assert(parts.flatMap(_._3).sameElements(back.y))
+    // a cached frame (its scan hands out one row object again and again) with
+    // partitions of several blocks: every cell is the source matrix's
+    val m = TestData.linear(10000, 3, seed = 74)
+    val cached = m.toDF(spark).coalesce(2).cache()
+    try {
+      val blocks = SparkRows.blocks(cached).map(b => (b.rows, Array.tabulate(b.cols)(b.column(_).clone()), b.y.clone()))
+        .collect()
+      assert(blocks.map(_._1).toSeq == Seq(4096, 904, 4096, 904))
+      m.names.indices.foreach(j => assert(blocks.flatMap(_._2(j)).sameElements(m.column(j)), s"column $j"))
+      assert(blocks.flatMap(_._3).sameElements(m.y))
+    } finally cached.unpersist()
   }
 
   test("a partition of several blocks gives the local IV and Pearson values exactly") {

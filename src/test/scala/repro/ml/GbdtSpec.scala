@@ -33,11 +33,12 @@ private final class RescoringHist(bins: Array[Array[Byte]], labels: Array[Double
 }
 
 /** A `LocalHist` that records, per `histograms` call, how many features and
-  * bins were asked for.
+  * bins were asked for, and which tree, partial tree and nodes.
   */
 private final class RecordingHist(bins: Array[Array[Byte]], labels: Array[Double]) extends HistBackend {
   private val inner = new LocalHist(bins, labels)
   val calls = scala.collection.mutable.ArrayBuffer.empty[(Int, Int)] // (features, bins)
+  val asked = scala.collection.mutable.ArrayBuffer.empty[(Int, Array[Node], Array[Int])] // (tree, partial, pending)
 
   override def numRows: Long = inner.numRows
 
@@ -48,6 +49,7 @@ private final class RecordingHist(bins: Array[Array[Byte]], labels: Array[Double
       offsets: Array[Int],
       totalBins: Int): (Array[Array[Double]], Array[Array[Double]]) = {
     calls += ((offsets.length, totalBins))
+    asked += ((prevTrees.length, partial, pending.clone()))
     inner.histograms(prevTrees, partial, pending, offsets, totalBins)
   }
 }
@@ -223,6 +225,61 @@ class GbdtSpec extends SparkSpec {
         assert(tree(i).cover == h(i), s"tree $t node $i")
       }
     }
+  }
+
+  test("below the root each pass builds one child per split, the smaller") {
+    val train = TestData.planted(700, 5, seed = 12)
+    val params = GbdtParams(maxDepth = 4)
+    val edges = Binning.fitLocal(train, params.maxBins)
+    val rec = new RecordingHist(Binning.applyLocal(train, edges), train.y)
+    val model = Gbdt.train(rec, edges, train.names, params)
+    assert(model.trees.map(_.length).sum > params.numTrees * 7, "trees should split below depth 1")
+    val below = rec.asked.filter(_._2.length > 1)
+    assert(below.nonEmpty)
+    rec.asked.filter(_._2.length == 1).foreach { case (_, _, pending) => assert(pending.toSeq == Seq(0)) }
+    below.foreach { case (t, partial, pending) =>
+      // the splits made at the level above are the nodes whose children are still Pending
+      val splits = partial.filter(n => n.feature >= 0 && partial(n.left).feature == Node.Pending)
+      assert(splits.nonEmpty, s"tree $t")
+      assert(pending.forall(i => splits.exists(n => n.left == i || n.right == i)), s"tree $t asks ${pending.toSeq}")
+      splits.foreach { n =>
+        assert(pending.count(i => i == n.left || i == n.right) == 1, s"tree $t asks ${pending.toSeq}")
+        val (built, derived) = if (pending.contains(n.left)) (n.left, n.right) else (n.right, n.left)
+        // a child's cover in the finished tree is its own H
+        assert(model.trees(t)(built).cover <= model.trees(t)(derived).cover, s"tree $t node $built")
+      }
+    }
+  }
+
+  test("parent minus one child's LocalHist histogram is the other child's") {
+    val shapes = for {
+      rows <- Gen.choose(1, 2000)
+      binCounts <- Gen.choose(1, 6).flatMap(Gen.listOfN(_, Gen.choose(2, 32)))
+      seed <- Gen.choose(0L, Long.MaxValue)
+    } yield (rows, binCounts.toArray, seed)
+    val prop = Prop.forAllNoShrink(shapes) { case (n, binCounts, seed) =>
+      val rng = new scala.util.Random(seed)
+      val bins = Array.fill(n)(binCounts.map(c => rng.nextInt(c).toByte))
+      val hist = new LocalHist(bins, Array.fill(n)(rng.nextInt(2).toDouble))
+      def oneSplit(child: => Node): Array[Node] = {
+        val f = rng.nextInt(binCounts.length)
+        Array(Node(f, rng.nextInt(binCounts(f)), 1, 2, 0.0, 1.0, 1.0), child, child)
+      }
+      // earlier trees give the rows up to 2^4 margins
+      val prev = Array.fill(rng.nextInt(5))(oneSplit(Node.leaf(2 * rng.nextGaussian(), 1.0)))
+      val split = oneSplit(Node.pending)
+      val offsets = binCounts.scanLeft(0)(_ + _).init
+      def of(partial: Array[Node], node: Int): Seq[Seq[Double]] = {
+        val (g, h) = hist.histograms(prev, partial, Array(node), offsets, binCounts.sum)
+        Seq(g(0).toSeq, h(0).toSeq)
+      }
+      val parent = of(Array(Node.pending), 0)
+      val (left, right) = (of(split, 1), of(split, 2))
+      def minus(a: Seq[Seq[Double]], b: Seq[Seq[Double]]) = a.zip(b).map { case (x, y) => x.zip(y).map(c => c._1 - c._2) }
+      minus(parent, left) == right && minus(parent, right) == left
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(200), prop)
+    assert(res.passed, Pretty.pretty(res))
   }
 
   test("Gbdt.train rejects 2^23 rows before asking for a histogram") {
