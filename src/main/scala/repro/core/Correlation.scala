@@ -16,11 +16,14 @@ object Correlation {
   val DefaultTheta = 0.8
 
   /** Pearson matrix (Eq. 7) of the named columns of `rows`: one pass adding
-    * each matrix's sums with `addSums`.
+    * each matrix's sums with `addSums`, one part per column i.
     */
   def matrix(rows: Rows, names: Seq[String]): Array[Array[Double]] = {
     val cols = names.toArray
-    val sums = rows.sum(sumsLength(cols.length))((acc, b) => addSums(acc, cols.map(b.column), b.rows))
+    val c = cols.length
+    val sums = rows.sum(sumsLength(c), c) { (acc, b, i) =>
+      addSums(acc, c, i, Array.tabulate(c - i)(k => b.column(cols(i + k))), b.rows)
+    }
     fromSums(sums, cols.length)
   }
 
@@ -33,51 +36,49 @@ object Correlation {
     2 * c + a * c - a * (a - 1) / 2 + (math.max(i, k) - a)
   }
 
-  /** Adds the sums of `n` rows of `cols` into `acc` (layout above). Every
-    * cell continues from its current value row by row, so a partition's
-    * blocks sum exactly as one pass over its rows would. One sweep over the
-    * rows of column i feeds four cross-product cells (i, k) … (i, k + 3) from
-    * four independent accumulators; each cell's sum is still the row-order
-    * chain of its own products.
+  /** Adds row i of the sums of `n` rows of c columns into `acc` (layout
+    * above): column i's sum and square, the cross products (i, k) for k ≥ i,
+    * and the row count when i = 0. Those cells are part i's alone. `from`
+    * holds columns i, …, c − 1. Every cell continues from its current value
+    * row by row, so a partition's blocks sum exactly as one pass over its
+    * rows would. One sweep over the rows of column i feeds four
+    * cross-product cells (i, k) … (i, k + 3) from four independent
+    * accumulators; each cell's sum is still the row-order chain of its own
+    * products.
     */
-  private def addSums(acc: Array[Double], cols: Array[Array[Double]], n: Int): Unit = {
-    val c = cols.length
-    var t = 2 * c
-    var i = 0
-    while (i < c) {
-      val ci = cols(i)
-      var s = acc(i)
-      var sq = acc(c + i)
-      var r = 0
-      while (r < n) { s += ci(r); sq += ci(r) * ci(r); r += 1 }
-      acc(i) = s
-      acc(c + i) = sq
-      var k = i
-      while (k + 4 <= c) {
-        val c0 = cols(k); val c1 = cols(k + 1); val c2 = cols(k + 2); val c3 = cols(k + 3)
-        var x0 = acc(t); var x1 = acc(t + 1); var x2 = acc(t + 2); var x3 = acc(t + 3)
-        r = 0
-        while (r < n) {
-          val v = ci(r)
-          x0 += v * c0(r); x1 += v * c1(r); x2 += v * c2(r); x3 += v * c3(r)
-          r += 1
-        }
-        acc(t) = x0; acc(t + 1) = x1; acc(t + 2) = x2; acc(t + 3) = x3
-        t += 4
-        k += 4
+  private def addSums(acc: Array[Double], c: Int, i: Int, from: Array[Array[Double]], n: Int): Unit = {
+    var t = crossIndex(c, i, i)
+    val ci = from(0)
+    var s = acc(i)
+    var sq = acc(c + i)
+    var r = 0
+    while (r < n) { s += ci(r); sq += ci(r) * ci(r); r += 1 }
+    acc(i) = s
+    acc(c + i) = sq
+    var k = 0
+    while (k + 4 <= from.length) {
+      val c0 = from(k); val c1 = from(k + 1); val c2 = from(k + 2); val c3 = from(k + 3)
+      var x0 = acc(t); var x1 = acc(t + 1); var x2 = acc(t + 2); var x3 = acc(t + 3)
+      r = 0
+      while (r < n) {
+        val v = ci(r)
+        x0 += v * c0(r); x1 += v * c1(r); x2 += v * c2(r); x3 += v * c3(r)
+        r += 1
       }
-      while (k < c) {
-        val ck = cols(k)
-        var cross = acc(t)
-        r = 0
-        while (r < n) { cross += ci(r) * ck(r); r += 1 }
-        acc(t) = cross
-        t += 1
-        k += 1
-      }
-      i += 1
+      acc(t) = x0; acc(t + 1) = x1; acc(t + 2) = x2; acc(t + 3) = x3
+      t += 4
+      k += 4
     }
-    acc(acc.length - 1) += n
+    while (k < from.length) {
+      val ck = from(k)
+      var cross = acc(t)
+      r = 0
+      while (r < n) { cross += ci(r) * ck(r); r += 1 }
+      acc(t) = cross
+      t += 1
+      k += 1
+    }
+    if (i == 0) acc(acc.length - 1) += n
   }
 
   private def fromSums(acc: Array[Double], c: Int): Array[Array[Double]] = {

@@ -41,24 +41,20 @@ object InfoValue {
   /** IV of each of `names` over `rows` under per-name `edges`
     * (`Binning.fitLocal` at β bins; with each column's own edges the values
     * are `iv`'s): one pass adding each matrix's per-column
-    * `Binning.classCounts`.
+    * `Binning.classCounts`, one part per column.
     */
   def ivAll(rows: Rows, names: Seq[String], edges: Array[Array[Double]]): Map[String, Double] = {
     val cols = names.toArray
     val offsets = Binning.binCounts(edges).scanLeft(0)(_ + _)
     val total = offsets.last
     // layout: [0, total) positives, [total, 2*total) negatives
-    val flat = rows.sum(2 * total) { (acc, b) =>
-      var j = 0
-      while (j < cols.length) {
-        val (pos, neg) = Binning.classCounts(b.column(cols(j)), b.y, edges(j))
-        var k = 0
-        while (k < pos.length) {
-          acc(offsets(j) + k) += pos(k)
-          acc(total + offsets(j) + k) += neg(k)
-          k += 1
-        }
-        j += 1
+    val flat = rows.sum(2 * total, cols.length) { (acc, b, j) =>
+      val (pos, neg) = Binning.classCounts(b.column(cols(j)), b.y, edges(j))
+      var k = 0
+      while (k < pos.length) {
+        acc(offsets(j) + k) += pos(k)
+        acc(total + offsets(j) + k) += neg(k)
+        k += 1
       }
     }
     names.indices.map { j =>

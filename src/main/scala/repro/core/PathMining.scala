@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.ml.{Binning, GbdtModel, LocalMatrix, Metrics, TreePath}
+import repro.ml.{Binning, GbdtModel, LocalMatrix, Metrics, Pool, TreePath}
 
 /** Feature-combination mining from GBDT paths (§IV-B1) and the
   * information-gain-ratio sort of Algorithm 2.
@@ -77,13 +77,14 @@ object PathMining {
   }
 
   /** Algorithm 2 end-to-end: mine combinations from the model, score on a
-    * (possibly sampled) matrix, return the top-γ by gain ratio.
+    * (possibly sampled) matrix, return the top-γ by gain ratio. Each
+    * combination is scored on its own, on `Pool`.
     */
   def topCombos(model: GbdtModel, scoring: LocalMatrix, gamma: Int,
                 includeSingles: Boolean, includePairs: Boolean): Seq[ScoredCombo] = {
-    val combos = combosFromPaths(model.paths, model.names, includeSingles, includePairs)
-    combos
-      .map(c => ScoredCombo(c, gainRatio(scoring, c)))
+    val combos = combosFromPaths(model.paths, model.names, includeSingles, includePairs).toArray
+    Pool.tabulate(combos.length)(k => ScoredCombo(combos(k), gainRatio(scoring, combos(k))))
+      .toSeq
       .sortBy(sc => (-sc.gainRatio, sc.combo.key.mkString("|")))
       .take(math.max(0, gamma))
   }

@@ -126,7 +126,11 @@ object Safe {
       Correlation.matrix(rows.map(plan(names).applyLocal), names)
   }
 
-  /** Driver-side engine over `initial`, whose rows are its matrix rows. */
+  /** Driver-side engine over `initial`, whose rows are its matrix rows. Its
+    * GBDT histograms, bin edges, IV counts, Pearson sums and gain ratios run
+    * on every core through `ml.Pool`, each split so that its doubles are
+    * those of one thread (DESIGN.md, "Threads"); Ψ stays on the caller.
+    */
   final class LocalEngine(initial: LocalMatrix, sampleCap: Int, seed: Long)
       extends RowsEngine(initial.names.toSeq, Rows.Local(initial), sampleCap, seed) {
     protected def rowCount: Long = initial.rows

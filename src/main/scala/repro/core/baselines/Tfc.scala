@@ -2,7 +2,7 @@ package repro.core.baselines
 
 import repro.core.Operators.BinaryOp
 import repro.core.{FeaturePlan, GenFeature, Operators}
-import repro.ml.{Binning, LocalMatrix, Metrics}
+import repro.ml.{Binning, LocalMatrix, Metrics, Pool}
 
 /** TFC comparator [27] (one iteration, as in the paper's experiments).
   *
@@ -12,8 +12,10 @@ import repro.ml.{Binning, LocalMatrix, Metrics}
   * so strong originals can be displaced by redundant generated features
   * (which is exactly why TFC degrades on several of the paper's datasets).
   *
-  * Candidates are scored streaming, one column at a time — O(N·M²) time but
-  * O(N) extra space, matching §IV-D's complexity analysis.
+  * Candidates are scored streaming, one column at a time on each thread of
+  * `Pool` (as SAFE's kernels are), with the same scores and plan as one
+  * thread — O(N·M²) time but O(N) extra space per thread, matching §IV-D's
+  * complexity analysis.
   */
 object Tfc {
 
@@ -32,19 +34,17 @@ object Tfc {
     val mOrig = m.cols
     val maxOut = math.max(1, math.ceil(cfg.maxOutFactor * mOrig).toInt)
 
-    // score originals
-    val scored = scala.collection.mutable.ArrayBuffer.empty[(Either[String, GenFeature], Double)]
-    for (j <- 0 until mOrig)
-      scored += ((Left(m.names(j)), infoGain(m.column(j), m.y, cfg.bins)))
-
-    // score every generated candidate, streaming
-    for (i <- 0 until mOrig; j <- (i + 1) until mOrig) {
-      val a = m.column(i); val b = m.column(j)
-      cfg.ops.foreach { op =>
-        val vals = op.local(a, b)
-        scored += ((Right(GenFeature(op, Seq(m.names(i), m.names(j)))), infoGain(vals, m.y, cfg.bins)))
-      }
-    }
+    // every candidate, originals first; each column is computed and scored
+    // on its own, on the pool
+    type Candidate = (Either[String, GenFeature], () => Array[Double])
+    val originals = m.names.indices.map[Candidate](j => (Left(m.names(j)), () => m.column(j)))
+    val generated = for (i <- 0 until mOrig; j <- (i + 1) until mOrig; op <- cfg.ops)
+      yield (Right(GenFeature(op, Seq(m.names(i), m.names(j)))), () => op.local(m.column(i), m.column(j))): Candidate
+    val candidates = originals ++ generated
+    val scored = Pool.tabulate(candidates.length) { k =>
+      val (f, values) = candidates(k)
+      (f, infoGain(values(), m.y, cfg.bins))
+    }.toSeq
 
     val top = scored.sortBy { case (f, s) =>
       (-s, f.fold(identity, _.name)) // deterministic tiebreak

@@ -155,9 +155,11 @@ object Binning {
 
   /** Per-column interior edges for a whole matrix: the one edge definition
     * of both engines (the Spark engine fits them on its driver-side sample).
+    * Each column's edges are computed on their own, on `Pool`, so they are
+    * `quantileEdges`' doubles; call it on the driver only.
     */
   def fitLocal(m: LocalMatrix, maxBins: Int): Array[Array[Double]] =
-    Array.tabulate(m.cols)(j => quantileEdges(m.column(j), maxBins))
+    Pool.tabulate(m.cols)(j => quantileEdges(m.column(j), maxBins))
 
   /** Apply per-column edges to a matrix, producing row-major bin codes.
     * Bin counts must fit a byte (maxBins ≤ 127 enforced upstream).

@@ -165,6 +165,15 @@ object HistBackend {
 /** Driver-side backend over pre-binned rows. It keeps each row's margin
   * under the trees it has seen, so a pass folds in only the trees finished
   * since the last one instead of re-scoring every row under all of them.
+  *
+  * A pass runs on `Pool`, over `Pool.parallelism` fixed row ranges (fixed by
+  * the row count and the pool's size, never by the pass). Each range folds
+  * the new trees into its own rows' margins, in tree order as
+  * `TreeOps.margin` adds them, and sums its rows into a partial of its own;
+  * the partials are added in range order. Every term is exact
+  * (`HistBackend.exact`), so the histograms are the doubles of one chain
+  * over all rows (XGBoost's parallel histogram build, Chen & Guestrin, KDD
+  * 2016 §4.1). A `LocalHist` serves one `train` at a time.
   */
 final class LocalHist(bins: Array[Array[Byte]], labels: Array[Double]) extends HistBackend {
   require(bins.length == labels.length, "bins/labels length mismatch")
@@ -175,39 +184,46 @@ final class LocalHist(bins: Array[Array[Byte]], labels: Array[Double]) extends H
   private val margins = new Array[Double](bins.length)
   private var folded = Array.empty[Array[Node]]
 
-  /** Brings `margins` to `prevTrees`: keeps them if `folded` is a prefix of
-    * it, else starts from 0, then adds each later tree in order, as
-    * `TreeOps.margin` does, so the sums are the same doubles.
-    */
-  private def foldIn(prevTrees: Array[Array[Node]]): Unit = {
-    val isPrefix = folded.length <= prevTrees.length &&
-      folded.indices.forall(t => folded(t) eq prevTrees(t))
-    if (!isPrefix) { java.util.Arrays.fill(margins, 0.0); folded = Array.empty }
-    var t = folded.length
-    while (t < prevTrees.length) {
-      val tree = prevTrees(t)
-      var i = 0
-      while (i < bins.length) { margins(i) += TreeOps.predict(tree, bins(i)); i += 1 }
-      t += 1
-    }
-    folded = prevTrees.clone()
-  }
+  /** Range p holds rows [starts(p), starts(p + 1)). */
+  private val starts = Array.tabulate(Pool.parallelism + 1)(p => (p.toLong * bins.length / Pool.parallelism).toInt)
 
+  /** Each range first brings its margins to `prevTrees`: it keeps them if
+    * `folded` is a prefix of it, else starts from 0, then adds each later
+    * tree in order, so the margins are `TreeOps.margin`'s doubles. While
+    * the ranges run, `folded` is empty, so a pass that failed midway is
+    * followed by one that starts from 0.
+    */
   override def histograms(
       prevTrees: Array[Array[Node]],
       partial: Array[Node],
       pending: Array[Int],
       offsets: Array[Int],
       totalBins: Int): (Array[Array[Double]], Array[Array[Double]]) = {
-    foldIn(prevTrees)
-    val flat = new Array[Double](2 * pending.length * totalBins)
+    val isPrefix = folded.length <= prevTrees.length &&
+      folded.indices.forall(t => folded(t) eq prevTrees(t))
+    val from = if (isPrefix) folded.length else 0
+    folded = Array.empty
     val pos = HistBackend.pendingPositions(partial.length, pending)
-    var i = 0
-    while (i < bins.length) {
-      HistBackend.accumulate(flat, bins(i), labels(i), margins(i), partial, pos, offsets, totalBins)
-      i += 1
+    val partials = Pool.tabulate(starts.length - 1) { p =>
+      val lo = starts(p); val hi = starts(p + 1)
+      if (from == 0) java.util.Arrays.fill(margins, lo, hi, 0.0)
+      var t = from
+      while (t < prevTrees.length) {
+        val tree = prevTrees(t)
+        var i = lo
+        while (i < hi) { margins(i) += TreeOps.predict(tree, bins(i)); i += 1 }
+        t += 1
+      }
+      val acc = new Array[Double](2 * pending.length * totalBins)
+      var i = lo
+      while (i < hi) {
+        HistBackend.accumulate(acc, bins(i), labels(i), margins(i), partial, pos, offsets, totalBins)
+        i += 1
+      }
+      acc
     }
-    HistBackend.unflatten(flat, pending.length, totalBins)
+    folded = prevTrees.clone()
+    HistBackend.unflatten(partials.reduceLeft(SparkRows.sumInto), pending.length, totalBins)
   }
 }
 
@@ -216,7 +232,8 @@ final class LocalHist(bins: Array[Array[Byte]], labels: Array[Double]) extends H
   * O(#nodes × #bins) partial per partition; the sums are exact, so they are
   * `LocalHist`'s doubles in any merge order.
   * Margins are recomputed in each pass: an RDD of margins rebuilt for every
-  * tree measured slower than the re-scoring it saves (ROADMAP item 2).
+  * tree measured slower than the re-scoring it saves, before the pass input
+  * lost its lineage (ROADMAP item 4 asks for a re-measurement).
   * A fit's rows come from `SparkHist.passInput`, binned once and with no
   * lineage past their cached blocks, so a pass task carries only its own
   * closure and the binning closure's edges.

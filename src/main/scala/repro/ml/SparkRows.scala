@@ -148,7 +148,7 @@ object SparkRows {
   }
 
   /** Adds `b` into `a` elementwise and returns `a`. */
-  private def sumInto(a: Array[Double], b: Array[Double]): Array[Double] = {
+  private[ml] def sumInto(a: Array[Double], b: Array[Double]): Array[Double] = {
     var i = 0
     while (i < a.length) { a(i) += b(i); i += 1 }
     a

@@ -94,6 +94,23 @@ class CorrelationSpec extends SparkSpec {
     }
   }
 
+  test("matrix equals a naive triple loop at 45 columns, one part per row of the triangle") {
+    val rng = new Random(22)
+    val (c, n) = (45, 257)
+    val cols = Array.fill(c)(Array.fill(n)(rng.nextGaussian() * 2 + rng.nextInt(3)))
+    val names = (0 until c).map(j => s"x$j")
+    val m = new LocalMatrix(names.toArray, cols, new Array[Double](n))
+    val expected = naiveMatrix(cols).map(_.toSeq).toSeq
+    assert(Correlation.matrix(Rows.Local(m), names).map(_.toSeq).toSeq == expected, "local")
+    // three blocks of one partition: a Spark task runs the parts of each block in order
+    val blocks = spark.sparkContext.parallelize(Seq(0), 1).flatMap { _ =>
+      Seq(0, 100, 201, n).sliding(2).map { case Seq(from, to) =>
+        new LocalMatrix(names.toArray, cols.map(_.slice(from, to)), new Array[Double](to - from))
+      }
+    }
+    assert(Correlation.matrix(Rows.Blocks(blocks), names).map(_.toSeq).toSeq == expected, "blocks")
+  }
+
   test("constant columns yield zero correlation, not NaN") {
     val m = LocalMatrix(Array("a", "k"),
       Array.tabulate(50)(i => Array(i.toDouble, 3.0)), Array.fill(50)(0.0))

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.{SparkSpec, TestData}
-import repro.ml.{Binning, Rows, SparkRows}
+import repro.ml.{Binning, LocalMatrix, Rows, SparkRows}
 import scala.util.Random
 
 class InfoValueSpec extends SparkSpec {
@@ -49,6 +49,17 @@ class InfoValueSpec extends SparkSpec {
     val ivs = InfoValue.ivAll(Rows.Local(m), Seq("x0", "x2"), Binning.fitLocal(m.selectNames(Seq("x0", "x2")), 10))
     assert(ivs.keySet == Set("x0", "x2"))
     ivs.values.foreach(v => assert(!v.isNaN))
+  }
+
+  test("ivAll equals per-column iv at 480 columns, one part per column") {
+    val rng = new Random(7)
+    val n = 300
+    val y = Array.fill(n)(rng.nextInt(2).toDouble)
+    val cols = Array.tabulate(480)(j => Array.tabulate(n)(i => y(i) * (j % 5) + rng.nextGaussian() + (if (j % 7 == 0) rng.nextInt(3) else 0)))
+    val names = cols.indices.map(j => s"c$j")
+    val m = new LocalMatrix(names.toArray, cols, y)
+    val ivs = InfoValue.ivAll(Rows.Local(m), names, Binning.fitLocal(m, InfoValue.DefaultBins))
+    assert(ivs == names.indices.map(j => names(j) -> InfoValue.iv(cols(j), y)).toMap)
   }
 
   test("ivAllSpark agrees with ivAllLocal") {

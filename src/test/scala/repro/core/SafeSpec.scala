@@ -123,6 +123,21 @@ class SafeSpec extends SparkSpec {
     assert(Safe.randomPairs(Seq("a"), 10, rng).isEmpty)
   }
 
+  test("six concurrent fitLocal calls give the plans of six sequential ones") {
+    val data = (0 until 6).map(k => TestData.planted(600 + 100 * k, 6, seed = 60 + k))
+    def fit(m: LocalMatrix) = {
+      val r = Safe.fitLocal(m, fastCfg)
+      (r.plan.generated, r.plan.keep, r.reports)
+    }
+    val sequential = data.map(fit)
+    val concurrent = new Array[AnyRef](data.length)
+    val callers = data.indices.map(k => new Thread(() => concurrent(k) = fit(data(k))))
+    callers.foreach(_.start())
+    callers.foreach(_.join(120000))
+    assert(callers.forall(!_.isAlive), "a concurrent fit did not finish")
+    assert(concurrent.toSeq == sequential)
+  }
+
   test("fitSpark produces an equivalent-quality plan on the same data") {
     val df = train.toDF(spark).cache()
     df.count()

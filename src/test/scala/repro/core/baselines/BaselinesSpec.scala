@@ -2,7 +2,7 @@ package repro.core.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestData
-import repro.core.{FeaturePlan, ImportantCombos, InfoValue, RandomCombos, Safe}
+import repro.core.{FeaturePlan, GenFeature, ImportantCombos, InfoValue, RandomCombos, Safe}
 import repro.ml.{Binning, GbdtParams, Linear, Metrics, Rows}
 
 class TfcSpec extends AnyFunSuite {
@@ -38,6 +38,16 @@ class TfcSpec extends AnyFunSuite {
     val a = Tfc.fit(train)
     val b = Tfc.fit(train)
     assert(a.keep == b.keep)
+  }
+
+  test("fit keeps the top 2M of every candidate scored one at a time on one thread") {
+    val scored = train.names.indices.map(j => train.names(j) -> Tfc.infoGain(train.column(j), train.y, 10)) ++
+      (for (i <- 0 until train.cols; j <- (i + 1) until train.cols; op <- Tfc.TfcConfig().ops) yield {
+        val g = GenFeature(op, Seq(train.names(i), train.names(j)))
+        g.name -> Tfc.infoGain(op.local(train.column(i), train.column(j)), train.y, 10)
+      })
+    val expected = scored.sortBy { case (n, s) => (-s, n) }.take(2 * train.cols).map(_._1)
+    assert(Tfc.fit(train).keep == expected)
   }
 
   test("generated pool features evaluate finitely") {

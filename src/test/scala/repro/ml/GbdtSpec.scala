@@ -282,6 +282,35 @@ class GbdtSpec extends SparkSpec {
     assert(res.passed, Pretty.pretty(res))
   }
 
+  test("LocalHist's row-range histograms equal one chain over the rows at N = 1, 3 and 4 097") {
+    val rng = new scala.util.Random(41)
+    val binCounts = Array(2, 7, 32, 5)
+    val offsets = binCounts.scanLeft(0)(_ + _).init
+    def tree(child: => Node): Array[Node] = {
+      val f = rng.nextInt(binCounts.length)
+      Array(Node(f, rng.nextInt(binCounts(f)), 1, 2, 0.0, 1.0, 1.0), child, child)
+    }
+    Seq(1, 3, 4097).foreach { n =>
+      val bins = Array.fill(n)(binCounts.map(c => rng.nextInt(c).toByte))
+      val labels = Array.fill(n)(rng.nextInt(2).toDouble)
+      val ranged = new LocalHist(bins, labels)
+      val chain = new RescoringHist(bins, labels)
+      val trees = Array.fill(6)(tree(Node.leaf(rng.nextGaussian(), 1.0)))
+      val other = Array.fill(2)(tree(Node.leaf(rng.nextGaussian(), 1.0)))
+      val split = tree(Node.pending)
+      // growing prefixes fold in the new trees only; `other` is no prefix, so margins restart
+      Seq(0, 1, 4, 6).map(trees.take) :+ other foreach { prev =>
+        Seq((Array(Node.pending), Array(0)), (split, Array(1, 2)), (split, Array(2))).foreach { case (partial, pending) =>
+          def of(b: HistBackend) = {
+            val (g, h) = b.histograms(prev, partial, pending, offsets, binCounts.sum)
+            (g.map(_.toSeq).toSeq, h.map(_.toSeq).toSeq)
+          }
+          assert(of(ranged) == of(chain), s"N = $n, ${prev.length} trees, pending ${pending.mkString(",")}")
+        }
+      }
+    }
+  }
+
   test("Gbdt.train rejects 2^23 rows before asking for a histogram") {
     var calls = 0
     val huge = new HistBackend {
